@@ -349,19 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="pegmachine", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, word=False, output=False):
-        p.add_argument("--step-limit", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--seed", type=int, default=1)
-        if word:
-            p.add_argument("word", nargs="?", default=None, metavar="WORD")
-            p.add_argument("--input-file", default=None)
-            p.add_argument("--engine", choices=["naive", "packrat", "direct", "cook"])
-            p.add_argument("--trace", action="store_true")
-            p.add_argument("--stats", action="store_true")
-        if output:
-            p.add_argument("-o", "--output", default=None)
-
     p = sub.add_parser("check", help="validate a file; well-formedness for grammars")
     p.add_argument("path")
     p.set_defaults(fn=cmd_check)
@@ -375,25 +362,30 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=f"{name} and print/write the result")
         p.add_argument("path")
-        common(p, output=True)
+        p.add_argument("-o", "--output", default=None)
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("run", help="run a word against a grammar or machine")
-    p.add_argument("path")
-    common(p, word=True)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("trace", help="run with a move-by-move trace")
-    p.add_argument("path")
-    common(p, word=True)
-    p.set_defaults(fn=cmd_run, force_trace=True)
+    for name, help_, trace in (
+        ("run", "run a word against a grammar or machine", False),
+        ("trace", "run with a move-by-move trace", True),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("path")
+        p.add_argument("word", nargs="?", default=None, metavar="WORD")
+        p.add_argument("--input-file", default=None)
+        p.add_argument("--engine", choices=["naive", "packrat", "direct", "cook"])
+        p.add_argument("--trace", action="store_true")
+        p.add_argument("--stats", action="store_true")
+        p.add_argument("--step-limit", type=int, default=None)
+        p.add_argument("--budget", type=int, default=None)
+        p.set_defaults(fn=cmd_run, force_trace=trace)
 
     p = sub.add_parser("bench", help="table of engine costs over a word family")
     p.add_argument("path")
     p.add_argument("--family", required=True, help="letters; each is repeated n times")
     p.add_argument("--sizes", required=True, help="comma-separated n values")
     p.add_argument("--assert-linear", action="store_true")
-    common(p)
+    p.add_argument("--step-limit", type=int, default=None)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("fuzz", help="differential test of all engines")
@@ -410,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["complement", "union", "intersect", "concat-dcfl", "reg-closure"],
     )
     p.add_argument("paths", nargs="+")
-    common(p, output=True)
+    p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_compose)
 
     return top

@@ -18,10 +18,9 @@ from __future__ import annotations
 from ..errors import CompositionError
 from ..pppda.machine import (
     DOWN,
-    HAT_DOWN,
-    HAT_RIGHT,
     LEFT_MARK,
     Machine,
+    MachineBuilder,
     Move,
     RIGHT,
     RIGHT_MARK,
@@ -36,7 +35,7 @@ from ..translate import (
     META_OK_STATE,
     META_WORK_STATE,
 )
-from .dpda import Dpda, EPSILON
+from .dpda import Dpda
 
 _BOTTOM = "cc:#"
 _INIT = "cc:init"
@@ -82,15 +81,19 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
     ok_state = y.meta_value(META_OK_STATE)
     fail_state = y.meta_value(META_FAIL_STATE)
 
-    sigma = list(y.input_alphabet)
-    wild = sigma + [RIGHT_MARK]
-    delta: dict[tuple[str, str, str], Move] = {}
-
-    def emit(q: str, a: str, z: str, mv: Move) -> None:
-        key = (q, a, z)
-        if key in delta and delta[key] != mv:
-            raise CompositionError(f"composition collision at {key!r}")
-        delta[key] = mv
+    wild = list(y.input_alphabet) + [RIGHT_MARK]
+    x_syms = [_xsym(z) for z in x.stack_alphabet]
+    mb = MachineBuilder(
+        _INIT,
+        _BOTTOM,
+        y.input_alphabet,
+        finals=(_DRAIN,),
+        meta=((META_KIND, "concat-dcfl"),),
+        states=[_INIT, _DRAIN],
+        stack_alphabet=[_BOTTOM] + x_syms + [_cp(q) for q in x.finals]
+        + [z for z in y.stack_alphabet if z != y.bottom],
+    )
+    emit = mb.emit
 
     def target(q: str) -> str:
         return _try(q) if q in x.finals else _go(q)
@@ -102,50 +105,19 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
             continue
         emit(q, a, z, mv)
 
-    x_syms = [_xsym(z) for z in x.stack_alphabet]
-    states: list[str] = [_INIT, _DRAIN]
     for q in x.states:
-        states.append(_go(q))
+        mb.states.add(_go(q))
         if q in x.finals:
-            states.append(_try(q))
+            mb.states.add(_try(q))
 
     # Start: enter the DPDA with its own bottom above ours, head on cell 1.
     emit(_INIT, LEFT_MARK, _BOTTOM, Move(target(x.initial_state), (_xsym(x.bottom),), RIGHT))
 
-    replace_states: dict[tuple[str, tuple[str, ...]], str] = {}
-
-    def replace_state(q2: str, push: tuple[str, ...]) -> str:
-        key = (q2, push)
-        if key not in replace_states:
-            name = f"xr:{q2}:" + ",".join(push)
-            replace_states[key] = name
-            states.append(name)
-            for sigma_ in wild:
-                for t in x_syms + [_BOTTOM]:
-                    emit(name, sigma_, t, Move(target(q2), tuple(_xsym(s) for s in push), DOWN))
-        return replace_states[key]
-
-    def emit_dpda_move(q: str, a: str, z: str, q2: str, push: tuple[str, ...]) -> None:
-        """One DPDA move as pointer-machine stack surgery on the tagged stack."""
-        src, top = _go(q), _xsym(z)
-        consume = a != EPSILON
-        letters = [a] if consume else wild
-        for letter in letters:
-            if not push:
-                emit(src, letter, top, Move(target(q2), (), RIGHT if consume else DOWN))
-            elif push[-1] == z:
-                rest = tuple(_xsym(s) for s in push[:-1])
-                if rest:
-                    emit(src, letter, top, Move(target(q2), rest, RIGHT if consume else DOWN))
-                else:
-                    emit(src, letter, top,
-                         Move(target(q2), (), HAT_RIGHT if consume else HAT_DOWN))
-            else:
-                mid = replace_state(q2, push)
-                emit(src, letter, top, Move(mid, (), RIGHT if consume else DOWN))
-
     for (q, a, z), (q2, push) in x.delta.items():
-        emit_dpda_move(q, a, z, q2, push)
+        mb.dpda_move(
+            _go(q), a, _xsym(z), target(q2), tuple(_xsym(s) for s in push),
+            replace=f"xr:{q2}:" + ",".join(push), below=x_syms + [_BOTTOM], wild=wild,
+        )
 
     # Suspension: push the checkpoint, then the grammar axiom, and parse.
     for q in x.finals:
@@ -159,21 +131,9 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
                 emit(ok_state, sigma_, _cp(q), Move(_go(q), (), UP))
         # Suffix parsed to the end: drain and accept.
         emit(ok_state, RIGHT_MARK, _cp(q), Move(_DRAIN, (), DOWN))
-    gamma = [_BOTTOM] + x_syms + [_cp(q) for q in x.finals] + [
-        z for z in y.stack_alphabet if z != y.bottom
-    ]
-    for z in gamma:
+    for z in mb.stack_alphabet:
         emit(_DRAIN, RIGHT_MARK, z, Move(_DRAIN, (), DOWN))
 
-    machine = Machine(
-        states=tuple(states + [q for q in y.states]),
-        input_alphabet=tuple(sigma),
-        stack_alphabet=tuple(gamma),
-        finals=(_DRAIN,),
-        initial_state=_INIT,
-        bottom=_BOTTOM,
-        delta=delta,
-        two_way=False,
-        meta=((META_KIND, "concat-dcfl"),),
-    )
-    return desugar_hat_moves(machine)
+    for q in y.states:
+        mb.states.add(q)
+    return desugar_hat_moves(mb.build())

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import MachineInvariantError, MachineTextError
+from ..pppda.machine import Names
+from ..pppda.text import _render_push, _split_push
 
 EPSILON = ""
 
@@ -104,8 +106,8 @@ def parse_dpda_text(text: str) -> Dpda:
     finals: list[str] = []
     initial: str | None = None
     bottom: str | None = None
-    alphabet: list[str] = []
-    states: list[str] = []
+    alphabet: dict[str, None] = {}
+    declared: list[str] = []
     body: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -118,7 +120,7 @@ def parse_dpda_text(text: str) -> Dpda:
                 if parts[1:] != ["dpda"]:
                     raise MachineTextError("expected '@kind dpda'", lineno)
             elif key == "@states":
-                states.extend(parts[1:])
+                declared.extend(parts[1:])
             elif key == "@final":
                 finals.extend(parts[1:])
             elif key == "@initial" and len(parts) == 2:
@@ -126,9 +128,7 @@ def parse_dpda_text(text: str) -> Dpda:
             elif key == "@bottom" and len(parts) == 2:
                 bottom = parts[1]
             elif key == "@alphabet" and len(parts) == 2 and parts[1][0] == '"':
-                for ch in parts[1][1:-1]:
-                    if ch not in alphabet:
-                        alphabet.append(ch)
+                alphabet.update(dict.fromkeys(parts[1][1:-1]))
             else:
                 raise MachineTextError(f"bad directive {line!r}", lineno)
             continue
@@ -136,58 +136,39 @@ def parse_dpda_text(text: str) -> Dpda:
     if initial is None or bottom is None:
         raise MachineTextError("missing @initial or @bottom header", 0)
 
-    gamma: list[str] = [bottom]
+    states = Names("state name", declared)
+    gamma = Names("stack symbol", [bottom])
     for lineno, toks in body:
         if len(toks) != 6 or toks[3] != "->":
             raise MachineTextError(
                 "transition must be: state letter stacksym -> state pushstring", lineno
             )
-        if toks[2] not in gamma:
-            gamma.append(toks[2])
-    gamma_set = set(gamma)
+        gamma.note(toks[2])
 
     delta: dict[tuple[str, str, str], tuple[str, tuple[str, ...]]] = {}
-    order = list(states)
-
-    def note(q: str) -> None:
-        if q not in order:
-            order.append(q)
-
-    note(initial)
+    states.note(initial)
     for q in finals:
-        note(q)
+        states.note(q)
     for lineno, toks in body:
         q, letter_tok, z, _, q2, push_tok = toks
         if letter_tok == "eps":
             a = EPSILON
         elif len(letter_tok) == 3 and letter_tok[0] == '"' and letter_tok[2] == '"':
             a = letter_tok[1]
-            if a not in alphabet:
-                alphabet.append(a)
+            alphabet.setdefault(a)
         else:
             raise MachineTextError(f"bad letter token {letter_tok!r}", lineno)
-        if push_tok == "-":
-            push: tuple[str, ...] = ()
-        elif "," in push_tok:
-            push = tuple(p for p in push_tok.split(",") if p)
-        elif push_tok in gamma_set:
-            push = (push_tok,)
-        elif len(push_tok) > 1 and all(ch in gamma_set for ch in push_tok):
-            push = tuple(push_tok)
-        else:
-            push = (push_tok,)
+        push = _split_push(push_tok, gamma, lineno)
         for sym in push:
-            if sym not in gamma_set:
-                gamma_set.add(sym)
-                gamma.append(sym)
+            gamma.note(sym)
         key = (q, a, z)
         if key in delta:
             raise MachineTextError(f"duplicate transition for {key!r}", lineno)
-        note(q)
-        note(q2)
+        states.note(q)
+        states.note(q2)
         delta[key] = (q2, push)
     return Dpda(
-        states=tuple(order),
+        states=tuple(states),
         input_alphabet=tuple(alphabet),
         stack_alphabet=tuple(gamma),
         finals=tuple(finals),
@@ -215,13 +196,6 @@ def render_dpda_text(d: Dpda) -> str:
         key=lambda kv: (spos[kv[0][0]], -1 if kv[0][1] == EPSILON else lpos[kv[0][1]], zpos[kv[0][2]]),
     ):
         letter = "eps" if a == EPSILON else f'"{a}"'
-        if not push:
-            push_tok = "-"
-        elif len(push) > 1:
-            push_tok = ",".join(push)
-        elif len(push[0]) > 1 and push[0] not in declared and all(c in declared for c in push[0]):
-            push_tok = push[0] + ","
-        else:
-            push_tok = push[0]
+        push_tok = _render_push(push, declared)
         lines.append(f"{q} {letter} {z} -> {q2} {push_tok}")
     return "\n".join(lines) + "\n"

@@ -31,8 +31,8 @@ from ..pppda.machine import (
     HAT_RIGHT,
     LEFT_MARK,
     Machine,
+    MachineBuilder,
     Move,
-    RIGHT,
     RIGHT_MARK,
     UP,
 )
@@ -97,15 +97,17 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
                 sigma.append(ch)
     wild = sigma + [RIGHT_MARK]
 
-    delta: dict[tuple[str, str, str], Move] = {}
-    states: list[str] = [_INIT, _DISPATCH, _ACCEPT_EPS, _DRAIN, _ROLLBACK, _ROLL_UP]
-    gamma: list[str] = [_BOTTOM]
-
-    def emit(q: str, a: str, z: str, mv: Move) -> None:
-        key = (q, a, z)
-        if key in delta and delta[key] != mv:
-            raise CompositionError(f"composition collision at {key!r}")
-        delta[key] = mv
+    mb = MachineBuilder(
+        _INIT,
+        _BOTTOM,
+        sigma,
+        finals=(_DRAIN, _ACCEPT_EPS),
+        meta=((META_KIND, "reg-closure"),),
+        states=[_INIT, _DISPATCH, _ACCEPT_EPS, _DRAIN, _ROLLBACK, _ROLL_UP],
+        stack_alphabet=[_BOTTOM],
+    )
+    emit = mb.emit
+    states, gamma = mb.states, mb.stack_alphabet
 
     def start_block(q_dfa: str, label: str) -> tuple[str, tuple[str, str]]:
         """Target state and (dpda bottom, marker) push for a fresh attempt."""
@@ -124,16 +126,15 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
     # Stack symbol inventory.
     for q_dfa in dfa.states:
         for label in labels:
-            gamma.append(_marker(q_dfa, label))
+            gamma.add(_marker(q_dfa, label))
     for label in labels:
         for z in spec.bindings[label].stack_alphabet:
-            gamma.append(_dsym(label, z))
+            gamma.add(_dsym(label, z))
     cps: list[str] = []
     for q_dfa in dfa.states:
         for label in labels:
             for qf in spec.bindings[label].finals:
-                cps.append(_cp(q_dfa, label, qf))
-    gamma.extend(cps)
+                cps.append(gamma.add(_cp(q_dfa, label, qf)))
 
     next_label = {labels[i]: labels[i + 1] for i in range(len(labels) - 1)}
 
@@ -144,45 +145,18 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
             d_syms = [_dsym(label, z) for z in d.stack_alphabet]
             marker = _marker(q_dfa, label)
             for q in d.states:
-                go = _sim(q_dfa, label, q, "g")
-                states.append(go)
+                states.add(_sim(q_dfa, label, q, "g"))
                 if q in d.finals:
-                    states.append(_sim(q_dfa, label, q, "t"))
+                    states.add(_sim(q_dfa, label, q, "t"))
 
             # The DPDA's own moves on tagged symbols.
-            replace_cache: dict[tuple[str, tuple[str, ...]], str] = {}
-
-            def replace_state(q2: str, push: tuple[str, ...]) -> str:
-                key = (q2, push)
-                if key not in replace_cache:
-                    name = f"sr:{q_dfa}:{label}:{q2}:" + ",".join(push)
-                    replace_cache[key] = name
-                    states.append(name)
-                    tgt = _target(q_dfa, label, q2, d)
-                    mapped = tuple(_dsym(label, s) for s in push)
-                    for a in wild:
-                        for below in d_syms + [marker]:
-                            emit(name, a, below, Move(tgt, mapped, DOWN))
-                return replace_cache[key]
-
             for (q, a, z), (q2, push) in d.delta.items():
-                src = _sim(q_dfa, label, q, "g")
-                top = _dsym(label, z)
-                tgt = _target(q_dfa, label, q2, d)
-                consume = a != EPSILON
-                for letter in [a] if consume else wild:
-                    if not push:
-                        emit(src, letter, top, Move(tgt, (), RIGHT if consume else DOWN))
-                    elif push[-1] == z:
-                        rest = tuple(_dsym(label, s) for s in push[:-1])
-                        if rest:
-                            emit(src, letter, top, Move(tgt, rest, RIGHT if consume else DOWN))
-                        else:
-                            emit(src, letter, top,
-                                 Move(tgt, (), HAT_RIGHT if consume else HAT_DOWN))
-                    else:
-                        mid = replace_state(q2, push)
-                        emit(src, letter, top, Move(mid, (), RIGHT if consume else DOWN))
+                mb.dpda_move(
+                    _sim(q_dfa, label, q, "g"), a, _dsym(label, z),
+                    _target(q_dfa, label, q2, d), tuple(_dsym(label, s) for s in push),
+                    replace=f"sr:{q_dfa}:{label}:{q2}:" + ",".join(push),
+                    below=d_syms + [marker], wild=wild,
+                )
 
             # Stuck simulation: pop into rollback.  Missing (letter, symbol)
             # combinations, and the exposed marker, both mean no extension of
@@ -221,7 +195,7 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
                     sim2, push2 = start_block(q_dfa, nxt)
                     retry = f"rn:{q_dfa}:{nxt}"
                     if retry not in states:
-                        states.append(retry)
+                        states.add(retry)
                         for a2 in wild:
                             for below in cps + [_BOTTOM]:
                                 emit(retry, a2, below, Move(sim2, push2, DOWN))
@@ -246,18 +220,7 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
     for z in gamma:
         emit(_DRAIN, RIGHT_MARK, z, Move(_DRAIN, (), DOWN))
 
-    machine = Machine(
-        states=tuple(states),
-        input_alphabet=tuple(sigma),
-        stack_alphabet=tuple(gamma),
-        finals=(_DRAIN, _ACCEPT_EPS),
-        initial_state=_INIT,
-        bottom=_BOTTOM,
-        delta=delta,
-        two_way=False,
-        meta=((META_KIND, "reg-closure"),),
-    )
-    return desugar_hat_moves(machine)
+    return desugar_hat_moves(mb.build())
 
 
 def _target(q_dfa: str, label: str, q_dpda: str, d: Dpda) -> str:

@@ -27,7 +27,7 @@ from .peg.ast import (
     Not,
     Sequence,
     Terminal,
-    references_of,
+    reachable_from,
     render_grammar_text,
 )
 from .peg.interpret import DEFAULT_BUDGET, interpret_naive, interpret_packrat
@@ -283,18 +283,6 @@ def _shrink(
                 g = cand
                 changed = True
                 break
-    g = _drop_unreferenced(g)
-    return g, word
-
-
-def _drop_unreferenced(g: Grammar) -> Grammar:
-    keep = {g.axiom}
-    work = [g.axiom]
-    while work:
-        name = work.pop()
-        for ref in references_of(g.rules[name]):
-            if ref not in keep:
-                keep.add(ref)
-                work.append(ref)
+    keep = reachable_from(g.rules, g.axiom)
     rules = [(n, g.rules[n]) for n in g.nonterminals if n in keep]
-    return Grammar.build(rules, axiom=g.axiom, alphabet=g.alphabet)
+    return Grammar.build(rules, axiom=g.axiom, alphabet=g.alphabet), word

@@ -138,11 +138,20 @@ def letters_of(e: Expression) -> list[str]:
 
 
 def references_of(e: Expression) -> list[str]:
-    seen: list[str] = []
-    for n in walk(e):
-        if isinstance(n, Nonterminal) and n.name not in seen:
-            seen.append(n.name)
-    return seen
+    """Referenced nonterminal names, in first-appearance order."""
+    return list(dict.fromkeys(n.name for n in walk(e) if isinstance(n, Nonterminal)))
+
+
+def reachable_from(rules: Mapping[str, Expression], axiom: str) -> set[str]:
+    """Names of the rules reachable from ``axiom``, itself included."""
+    keep = {axiom}
+    work = [axiom]
+    while work:
+        for ref in references_of(rules[work.pop()]):
+            if ref not in keep:
+                keep.add(ref)
+                work.append(ref)
+    return keep
 
 
 def _renumber(e: Expression, counter: Iterator[int]) -> Expression:

@@ -175,10 +175,6 @@ def interpret_packrat(
     return _wrap(_run(g, g.rules[g.axiom], word, 0, None, memo, stats))
 
 
-def outcome_at_axiom(g: Grammar, word: str) -> ParseOutcome:
-    return interpret_packrat(g, word)
-
-
 def accepts(g: Grammar, word: str) -> bool:
     """Whole-input acceptance: the axiom must consume every letter.
 

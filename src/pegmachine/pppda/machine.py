@@ -17,7 +17,8 @@ right end marker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import MachineInvariantError
 
@@ -67,7 +68,7 @@ class Machine:
                 return v
         return None
 
-    @property
+    @cached_property
     def has_hat_moves(self) -> bool:
         return any(mv.direction in HAT_DIRECTIONS for mv in self.delta.values())
 
@@ -109,6 +110,130 @@ def validate_machine(m: Machine) -> None:
             raise MachineInvariantError(f"{where}: cannot move right off the right end marker")
         if not m.two_way and mv.direction in (LEFT, HAT_LEFT):
             raise MachineInvariantError(f"{where}: left moves need a two-way machine")
+
+
+# --- building machines --------------------------------------------------------
+
+
+class Names(dict):
+    """Names in first-insertion order: a dict used as an ordered set."""
+
+    def __init__(self, kind: str, names: Iterable[str] = ()):
+        super().__init__()
+        self.kind = kind
+        for name in names:
+            self.add(name)
+
+    def add(self, name: str) -> str:
+        """Register a new name; one already present is an error."""
+        if name in self:
+            raise MachineInvariantError(f"duplicate {self.kind}")
+        self[name] = None
+        return name
+
+    def note(self, name: str) -> None:
+        """Register ``name`` unless it is already present."""
+        self.setdefault(name)
+
+    def fresh(self, base: str) -> str:
+        """Register and return ``base`` primed (``'``) until it is new."""
+        name = base
+        while name in self:
+            name += "'"
+        return self.add(name)
+
+
+class MachineBuilder:
+    """Collects the parts of a :class:`Machine`; :meth:`build` validates them.
+
+    Re-emitting a transition with the same move is a no-op; emitting a
+    different move for a key already taken raises, so constructions that
+    generate rules from several loops cannot silently overwrite each other.
+    """
+
+    def __init__(
+        self,
+        initial_state: str,
+        bottom: str,
+        input_alphabet: Iterable[str] = (),
+        finals: Iterable[str] = (),
+        two_way: bool = False,
+        meta: tuple[tuple[str, str], ...] = (),
+        states: Iterable[str] = (),
+        stack_alphabet: Iterable[str] = (),
+    ):
+        self.initial_state = initial_state
+        self.bottom = bottom
+        self.input_alphabet = tuple(input_alphabet)
+        self.finals = tuple(finals)
+        self.two_way = two_way
+        self.meta = meta
+        self.states = Names("state name", states)
+        self.stack_alphabet = Names("stack symbol", stack_alphabet)
+        self.delta: dict[DeltaKey, Move] = {}
+
+    @classmethod
+    def like(cls, m: Machine) -> MachineBuilder:
+        """A builder holding every part of ``m`` except its transitions."""
+        return cls(
+            m.initial_state, m.bottom, m.input_alphabet, m.finals, m.two_way, m.meta,
+            m.states, m.stack_alphabet,
+        )
+
+    def emit(self, q: str, a: str, z: str, move: Move) -> None:
+        key = (q, a, z)
+        prev = self.delta.setdefault(key, move)
+        if prev is not move and prev != move:
+            raise MachineInvariantError(f"conflicting moves for delta{key!r}: {prev} and {move}")
+
+    def dpda_move(
+        self,
+        src: str,
+        letter: str,
+        top: str,
+        target: str,
+        push: tuple[str, ...],
+        replace: str,
+        below: Sequence[str],
+        wild: Sequence[str],
+    ) -> None:
+        """Emit a classical DPDA move as stack surgery on its tagged symbols.
+
+        In ``src`` with ``top`` on the stack, the move reads ``letter`` and
+        moves right, or, when ``letter`` is empty (epsilon), acts on every
+        letter of ``wild`` and stays put.  It replaces ``top`` by ``push``
+        (top first) and enters ``target``.  A push that keeps ``top`` at
+        its bottom pushes only the rest, or is a hat move when nothing is
+        left.  Any other push pops ``top`` into the state ``replace``,
+        which pushes ``push`` on every letter of ``wild`` over whichever of
+        ``below`` is exposed.
+        """
+        step, hat = (RIGHT, HAT_RIGHT) if letter else (DOWN, HAT_DOWN)
+        if not push:
+            move = Move(target, (), step)
+        elif push[-1] == top:
+            move = Move(target, push[:-1], step) if len(push) > 1 else Move(target, (), hat)
+        else:
+            self.states.note(replace)
+            for a in wild:
+                for z in below:
+                    self.emit(replace, a, z, Move(target, push, DOWN))
+            move = Move(replace, (), step)
+        for a in [letter] if letter else wild:
+            self.emit(src, a, top, move)
+
+    def build(self) -> Machine:
+        return Machine(
+            states=tuple(self.states),
+            input_alphabet=self.input_alphabet,
+            stack_alphabet=tuple(self.stack_alphabet),
+            finals=self.finals,
+            initial_state=self.initial_state,
+            bottom=self.bottom,
+            delta=self.delta,
+            two_way=self.two_way,
+            meta=self.meta,
+        )
 
 
 # --- configurations and stepping ---------------------------------------------

@@ -22,26 +22,19 @@ marker or directly on the first input cell with the bottom origin set to
 
 from __future__ import annotations
 
-from ..errors import MachineInvariantError, NotNormalError
+from ..errors import NotNormalError
 from .machine import (
     DOWN,
     HAT_DIRECTIONS,
     LEFT_MARK,
     Machine,
+    MachineBuilder,
     Move,
     RIGHT,
     RIGHT_MARK,
     UP,
     _HAT_CORE,
 )
-
-
-def _fresh(base: str, taken: set[str]) -> str:
-    name = base
-    while name in taken:
-        name += "'"
-    taken.add(name)
-    return name
 
 
 def desugar_hat_moves(m: Machine) -> Machine:
@@ -53,37 +46,21 @@ def desugar_hat_moves(m: Machine) -> Machine:
     """
     if not m.has_hat_moves:
         return m
-    states = list(m.states)
-    gamma = list(m.stack_alphabet)
-    taken_states = set(states)
-    taken_syms = set(gamma)
-    delta: dict[tuple[str, str, str], Move] = {}
+    mb = MachineBuilder.like(m)
     for (q, a, z), mv in m.delta.items():
         if mv.direction not in HAT_DIRECTIONS:
-            delta[(q, a, z)] = mv
+            mb.emit(q, a, z, mv)
             continue
         core = _HAT_CORE[mv.direction]
-        sym = _fresh(f"hat:{q}:{a}:{z}", taken_syms)
-        mid = _fresh(f"hats:{q}:{a}:{z}", taken_states)
-        gamma.append(sym)
-        states.append(mid)
-        delta[(q, a, z)] = Move(mid, (sym,), core)
+        sym = mb.stack_alphabet.fresh(f"hat:{q}:{a}:{z}")
+        mid = mb.states.fresh(f"hats:{q}:{a}:{z}")
+        mb.emit(q, a, z, Move(mid, (sym,), core))
         pop_letters = list(m.input_alphabet) + [RIGHT_MARK]
         if core != RIGHT:
             pop_letters.append(LEFT_MARK)  # a hatdown/hatleft may pop on the marker
         for sigma in pop_letters:
-            delta[(mid, sigma, sym)] = Move(mv.state, (), DOWN)
-    return Machine(
-        states=tuple(states),
-        input_alphabet=m.input_alphabet,
-        stack_alphabet=tuple(gamma),
-        finals=m.finals,
-        initial_state=m.initial_state,
-        bottom=m.bottom,
-        delta=delta,
-        two_way=m.two_way,
-        meta=m.meta,
-    )
+            mb.emit(mid, sigma, sym, Move(mv.state, (), DOWN))
+    return mb.build()
 
 
 # Fresh-name prefixes used by normalize; stage D state names.
@@ -124,55 +101,41 @@ def _wild(m: Machine) -> list[str]:
 
 
 def _stage_pop_directions(m: Machine) -> Machine:
-    states = list(m.states)
-    gamma = list(m.stack_alphabet)
-    taken_states = set(states)
-    taken_syms = set(gamma)
-    delta: dict[tuple[str, str, str], Move] = {}
+    mb = MachineBuilder.like(m)
     for (q, a, z), mv in m.delta.items():
         if mv.push or mv.direction in (DOWN, UP):
-            delta[(q, a, z)] = mv
+            mb.emit(q, a, z, mv)
             continue
         # Pop moving right: shuffle one cell right, then pop down there.
-        sym = _fresh(f"nr:{q}:{a}:{z}", taken_syms)
-        mid1 = _fresh(f"nr1:{q}:{a}:{z}", taken_states)
-        mid2 = _fresh(f"nr2:{q}:{a}:{z}", taken_states)
-        gamma.append(sym)
-        states.extend([mid1, mid2])
-        delta[(q, a, z)] = Move(mid1, (sym,), RIGHT)
+        sym = mb.stack_alphabet.fresh(f"nr:{q}:{a}:{z}")
+        mid1 = mb.states.fresh(f"nr1:{q}:{a}:{z}")
+        mid2 = mb.states.fresh(f"nr2:{q}:{a}:{z}")
+        mb.emit(q, a, z, Move(mid1, (sym,), RIGHT))
         for sigma in _wild(m):
-            delta[(mid1, sigma, sym)] = Move(mid2, (), DOWN)
-            delta[(mid2, sigma, z)] = Move(mv.state, (), DOWN)
-    return Machine(
-        tuple(states), m.input_alphabet, tuple(gamma), m.finals,
-        m.initial_state, m.bottom, delta, m.two_way, m.meta,
-    )
+            mb.emit(mid1, sigma, sym, Move(mid2, (), DOWN))
+            mb.emit(mid2, sigma, z, Move(mv.state, (), DOWN))
+    return mb.build()
 
 
 def _stage_single_push(m: Machine) -> Machine:
-    states = list(m.states)
-    taken_states = set(states)
-    delta: dict[tuple[str, str, str], Move] = {}
+    mb = MachineBuilder.like(m)
     chain_cache: dict[tuple[str, tuple[str, ...]], str] = {}
 
     def chain_state(target: str, remaining: tuple[str, ...]) -> str:
         key = (target, remaining)
         if key not in chain_cache:
-            name = _fresh("np:" + target + ":" + ",".join(remaining), taken_states)
-            states.append(name)
-            chain_cache[key] = name
+            chain_cache[key] = mb.states.fresh("np:" + target + ":" + ",".join(remaining))
         return chain_cache[key]
 
-    chain_entries: dict[tuple[str, str, str], Move] = {}
     for (q, a, z), mv in m.delta.items():
         if len(mv.push) <= 1:
-            delta[(q, a, z)] = mv
+            mb.emit(q, a, z, mv)
             continue
         # Push the deepest symbol first on the original direction, then the
         # rest one by one with down moves; all land at the same origin.
         syms = mv.push  # syms[0] is the top once everything is pushed
         first = chain_state(mv.state, syms[:-1])
-        delta[(q, a, z)] = Move(first, (syms[-1],), mv.direction)
+        mb.emit(q, a, z, Move(first, (syms[-1],), mv.direction))
         for i in range(len(syms) - 1, 0, -1):
             below = syms[i]  # symbol just pushed, inspected by the next link
             remaining = syms[:i]
@@ -184,40 +147,22 @@ def _stage_single_push(m: Machine) -> Machine:
             # The chain may run on the left end marker too (a down push there
             # keeps the head on it), so quantify over every letter.
             for sigma in _wild(m) + [LEFT_MARK]:
-                entry = Move(nxt, (remaining[-1],), DOWN)
-                prev = chain_entries.get((src, sigma, below))
-                if prev is not None and prev != entry:
-                    raise MachineInvariantError("push chain collision")
-                chain_entries[(src, sigma, below)] = entry
-    delta.update(chain_entries)
-    return Machine(
-        tuple(states), m.input_alphabet, m.stack_alphabet, m.finals,
-        m.initial_state, m.bottom, delta, m.two_way, m.meta,
-    )
+                mb.emit(src, sigma, below, Move(nxt, (remaining[-1],), DOWN))
+    return mb.build()
 
 
 def _stage_outer_bottom(m: Machine) -> Machine:
-    taken_states = set(m.states)
-    taken_syms = set(m.stack_alphabet)
-    nz = _fresh(NEW_BOTTOM, taken_syms)
-    init = _fresh(_INIT, taken_states)
-    fin = _fresh(_FIN, taken_states)
-    delta = dict(m.delta)
-    delta[(init, LEFT_MARK, nz)] = Move(m.initial_state, (m.bottom,), DOWN)
+    mb = MachineBuilder.like(m)
+    mb.delta.update(m.delta)
+    nz = mb.stack_alphabet.fresh(NEW_BOTTOM)
+    init = mb.states.fresh(_INIT)
+    fin = mb.states.fresh(_FIN)
+    mb.emit(init, LEFT_MARK, nz, Move(m.initial_state, (m.bottom,), DOWN))
     for f in m.finals:
         for sigma in [LEFT_MARK] + _wild(m):
-            delta[(f, sigma, nz)] = Move(fin, (), DOWN)
-    return Machine(
-        tuple(list(m.states) + [init, fin]),
-        m.input_alphabet,
-        tuple(list(m.stack_alphabet) + [nz]),
-        (fin,),
-        init,
-        nz,
-        delta,
-        m.two_way,
-        m.meta,
-    )
+            mb.emit(f, sigma, nz, Move(fin, (), DOWN))
+    mb.initial_state, mb.bottom, mb.finals = init, nz, (fin,)
+    return mb.build()
 
 
 def _stage_leave_left_mark(m: Machine) -> Machine:
@@ -257,18 +202,23 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
                 begin_states.add(mv.state)
                 changed = True
 
-    states: list[str] = []
+    mb = MachineBuilder(
+        _begin(m.initial_state),
+        m.bottom,
+        m.input_alphabet,
+        tuple(_norm(f) for f in m.finals),
+        m.two_way,
+        m.meta,
+        stack_alphabet=list(m.stack_alphabet)
+        + [_tagged(z) for z in m.stack_alphabet if z in tagged_syms],
+    )
     for q in m.states:
-        states.append(_norm(q))
+        mb.states.add(_norm(q))
         if q in begin_states:
-            states.append(_begin(q))
-    skip_state = _fresh(_SKIP_STATE, set(states))
-    states.append(skip_state)
-    gamma = list(m.stack_alphabet) + [_tagged(z) for z in m.stack_alphabet if z in tagged_syms]
-    skip_sym = _fresh(_SKIP_SYM, set(gamma))
-    gamma.append(skip_sym)
+            mb.states.add(_begin(q))
+    skip_state = mb.states.fresh(_SKIP_STATE)
+    skip_sym = mb.stack_alphabet.fresh(_SKIP_SYM)
 
-    delta: dict[tuple[str, str, str], Move] = {}
     for (q, a, z), mv in m.delta.items():
         if a == LEFT_MARK:
             if q not in begin_states:
@@ -276,31 +226,20 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
             for variant in (z,) if z not in tagged_syms else (z, _tagged(z)):
                 translated = _begin_move(mv, tagged=variant != z)
                 for sigma in _wild(m):
-                    delta[(_begin(q), sigma, variant)] = translated
+                    mb.emit(_begin(q), sigma, variant, translated)
         else:
             for variant in (z,) if z not in tagged_syms else (z, _tagged(z)):
                 if not mv.push and mv.direction == UP and variant != z:
                     out = Move(_begin(mv.state), (), UP)
                 else:
                     out = Move(_norm(mv.state), mv.push, mv.direction)
-                delta[(_norm(q), a, variant)] = out
+                mb.emit(_norm(q), a, variant, out)
 
-    init = _begin(m.initial_state)
-    delta[(init, LEFT_MARK, m.bottom)] = Move(skip_state, (skip_sym,), RIGHT)
+    init = mb.initial_state
+    mb.emit(init, LEFT_MARK, m.bottom, Move(skip_state, (skip_sym,), RIGHT))
     for sigma in _wild(m):
-        delta[(skip_state, sigma, skip_sym)] = Move(init, (), DOWN)
-
-    return Machine(
-        tuple(states),
-        m.input_alphabet,
-        tuple(gamma),
-        tuple(_norm(f) for f in m.finals),
-        init,
-        m.bottom,
-        delta,
-        m.two_way,
-        m.meta,
-    )
+        mb.emit(skip_state, sigma, skip_sym, Move(init, (), DOWN))
+    return mb.build()
 
 
 def _begin_move(mv: Move, tagged: bool) -> Move:

@@ -20,12 +20,15 @@ lines carry tool annotations and round-trip unchanged.
 
 from __future__ import annotations
 
+from typing import Container
+
 from ..errors import MachineTextError
 from .machine import (
     CORE_DIRECTIONS,
     HAT_DIRECTIONS,
     LEFT_MARK,
     Machine,
+    MachineBuilder,
     Move,
     RIGHT_MARK,
 )
@@ -47,7 +50,7 @@ def _render_letter(a: str) -> str:
     return a if a in (LEFT_MARK, RIGHT_MARK) else f'"{a}"'
 
 
-def _split_push(tok: str, gamma: set[str], lineno: int) -> tuple[str, ...]:
+def _split_push(tok: str, gamma: Container[str], lineno: int) -> tuple[str, ...]:
     if tok == "-":
         return ()
     if "," in tok:
@@ -62,7 +65,7 @@ def _split_push(tok: str, gamma: set[str], lineno: int) -> tuple[str, ...]:
     return (tok,)  # a push may introduce a new symbol
 
 
-def _render_push(push: tuple[str, ...], declared: set[str]) -> str:
+def _render_push(push: tuple[str, ...], declared: Container[str]) -> str:
     if not push:
         return "-"
     if len(push) > 1:
@@ -81,7 +84,7 @@ def parse_machine_text(text: str) -> Machine:
     finals: list[str] = []
     initial: str | None = None
     bottom: str | None = None
-    alphabet: list[str] = []
+    alphabet: dict[str, None] = {}
     two_way = False
     meta: list[tuple[str, str]] = []
     body: list[tuple[int, list[str]]] = []
@@ -105,9 +108,7 @@ def parse_machine_text(text: str) -> Machine:
                 arg = parts[1]
                 if not (len(arg) >= 2 and arg[0] == '"' and arg[-1] == '"'):
                     raise MachineTextError("@alphabet needs a quoted string", lineno)
-                for ch in arg[1:-1]:
-                    if ch not in alphabet:
-                        alphabet.append(ch)
+                alphabet.update(dict.fromkeys(arg[1:-1]))
             elif key == "@twoway" and len(parts) == 2 and parts[1] in ("yes", "no"):
                 two_way = parts[1] == "yes"
             elif key == "@meta" and len(parts) >= 3:
@@ -121,25 +122,18 @@ def parse_machine_text(text: str) -> Machine:
 
     if initial is None or bottom is None:
         raise MachineTextError("missing @initial or @bottom header", 0)
+    mb = MachineBuilder(initial, bottom, finals=finals, two_way=two_way, meta=tuple(meta),
+                        states=states, stack_alphabet=[bottom])
 
     # First pass: collect declared stack symbols so push tokens can be split.
-    gamma: list[str] = [bottom]
     for lineno, toks in body:
         if len(toks) != 7 or toks[3] != "->":
             raise MachineTextError(
                 "transition must be: state letter stacksym -> state pushstring dir", lineno
             )
-        if toks[2] not in gamma:
-            gamma.append(toks[2])
-    gamma_set = set(gamma)
+        mb.stack_alphabet.note(toks[2])
 
-    delta: dict[tuple[str, str, str], Move] = {}
-    state_order: list[str] = list(states)
-
-    def note_state(q: str) -> None:
-        if q not in state_order:
-            state_order.append(q)
-
+    note_state = mb.states.note
     note_state(initial)
     for q in finals:
         note_state(q)
@@ -148,31 +142,20 @@ def parse_machine_text(text: str) -> Machine:
         a = _parse_letter(letter_tok, lineno)
         if direction not in _DIRS:
             raise MachineTextError(f"bad direction {direction!r}", lineno)
-        push = _split_push(push_tok, gamma_set, lineno)
+        push = _split_push(push_tok, mb.stack_alphabet, lineno)
         for sym in push:
-            if sym not in gamma_set:
-                gamma_set.add(sym)
-                gamma.append(sym)
+            mb.stack_alphabet.note(sym)
         key = (q, a, z)
-        if key in delta:
+        if key in mb.delta:
             raise MachineTextError(f"duplicate transition for {key!r}", lineno)
-        if a != LEFT_MARK and a != RIGHT_MARK and a not in alphabet:
-            alphabet.append(a)
+        if a != LEFT_MARK and a != RIGHT_MARK:
+            alphabet.setdefault(a)
         note_state(q)
         note_state(q2)
-        delta[key] = Move(q2, push, direction)
+        mb.delta[key] = Move(q2, push, direction)
 
-    return Machine(
-        states=tuple(state_order),
-        input_alphabet=tuple(alphabet),
-        stack_alphabet=tuple(gamma),
-        finals=tuple(finals),
-        initial_state=initial,
-        bottom=bottom,
-        delta=delta,
-        two_way=two_way,
-        meta=tuple(meta),
-    )
+    mb.input_alphabet = tuple(alphabet)
+    return mb.build()
 
 
 def render_machine_text(m: Machine) -> str:

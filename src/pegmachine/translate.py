@@ -34,7 +34,8 @@ from .peg.ast import (
     Sequence,
     Terminal,
     cnf_body_shape_ok,
-    walk as walk_expr,
+    reachable_from,
+    references_of,
 )
 from .peg.interpret import accepts
 from .peg.wellformed import require_well_formed
@@ -44,6 +45,7 @@ from .pppda.machine import (
     HAT_RIGHT,
     LEFT_MARK,
     Machine,
+    MachineBuilder,
     Move,
     RIGHT,
     RIGHT_MARK,
@@ -62,48 +64,18 @@ META_FAIL_STATE = "failure-state"
 
 # --- state and symbol naming --------------------------------------------------
 
-
-@dataclass(frozen=True)
-class PegState:
-    """Tagged machine-state names for compiled grammars."""
-
-    kind: str  # initial work final signed aux
-    nonterminal: str = ""
-    detail: str = ""
-
-    def render(self) -> str:
-        if self.kind == "initial":
-            return "peg:q0"
-        if self.kind == "work":
-            return "peg:q"
-        if self.kind == "final":
-            return "peg:qf"
-        if self.kind == "signed":
-            return f"peg:{self.nonterminal}{self.detail}"  # detail is + or -
-        return f"peg:{self.nonterminal}:{self.detail}"
-
-
-def _initial() -> str:
-    return PegState("initial").render()
-
-
-def _work() -> str:
-    return PegState("work").render()
-
-
-def _final() -> str:
-    return PegState("final").render()
+_INITIAL = "peg:q0"
+_WORK = "peg:q"
+_FINAL = "peg:qf"
+_BOTTOM = "bot:#"
 
 
 def _signed(name: str, sign: str) -> str:
-    return PegState("signed", name, sign).render()
+    return f"peg:{name}{sign}"
 
 
 def _aux(name: str, detail: str) -> str:
-    return PegState("aux", name, detail).render()
-
-
-_BOTTOM = "bot:#"
+    return f"peg:{name}:{detail}"
 
 
 def _nt_sym(name: str) -> str:
@@ -126,45 +98,49 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
     for name in g.nonterminals:
         if not cnf_body_shape_ok(g.rules[name]):
             raise NotCnfError(f"rule for {name!r} is not a normal-form shape")
-        if g.axiom in [n.name for n in _nts_of(g.rules[name])]:
+        if g.axiom in references_of(g.rules[name]):
             raise NotCnfError("axiom occurs on a right-hand side")
     require_well_formed(g)
 
-    sigma = g.alphabet
-    wild = list(sigma) + [RIGHT_MARK]
-    delta: dict[tuple[str, str, str], Move] = {}
-
-    def emit(q: str, a: str, z: str, mv: Move) -> None:
-        key = (q, a, z)
-        if key in delta:
-            raise AssertionError(f"compile collision at {key!r}")
-        delta[key] = mv
-
-    states = [_initial(), _work(), _final()]
-    gamma = [_BOTTOM] + [_nt_sym(a) for a in g.nonterminals]
+    wild = list(g.alphabet) + [RIGHT_MARK]
+    mb = MachineBuilder(
+        _INITIAL,
+        _BOTTOM,
+        g.alphabet,
+        finals=(_FINAL,),
+        meta=(
+            (META_KIND, META_KIND_COMPILED),
+            (META_AXIOM_SYMBOL, _nt_sym(g.axiom)),
+            (META_WORK_STATE, _WORK),
+            (META_OK_STATE, _signed(g.axiom, "+")),
+            (META_FAIL_STATE, _signed(g.axiom, "-")),
+        ),
+        states=[_INITIAL, _WORK, _FINAL],
+        stack_alphabet=[_BOTTOM] + [_nt_sym(a) for a in g.nonterminals],
+    )
+    emit = mb.emit
     for name in g.nonterminals:
-        states += [_signed(name, "+"), _signed(name, "-")]
+        mb.states.add(_signed(name, "+"))
+        mb.states.add(_signed(name, "-"))
 
     # General rules: initial push of the axiom, episode-closing pops, accept.
-    emit(_initial(), LEFT_MARK, _BOTTOM, Move(_work(), (_nt_sym(g.axiom),), RIGHT))
+    emit(_INITIAL, LEFT_MARK, _BOTTOM, Move(_WORK, (_nt_sym(g.axiom),), RIGHT))
     for name in g.nonterminals:
         for sign in "+-":
             for a in wild:
                 emit(_signed(name, sign), a, _nt_sym(name), Move(_signed(name, sign), (), DOWN))
-    emit(_signed(g.axiom, "+"), RIGHT_MARK, _BOTTOM, Move(_final(), (), DOWN))
+    emit(_signed(g.axiom, "+"), RIGHT_MARK, _BOTTOM, Move(_FINAL, (), DOWN))
 
     for name in g.nonterminals:
         body = g.rules[name]
         a_sym = _nt_sym(name)
         if isinstance(body, Sequence):
             b, c = body.left.name, body.right.name
-            f1, f2 = _frame(name, 1), _frame(name, 2)
-            q2, q2m = _aux(name, "2"), _aux(name, "2-")
-            gamma += [f1, f2]
-            states += [q2, q2m]
+            f1, f2 = mb.stack_alphabet.add(_frame(name, 1)), mb.stack_alphabet.add(_frame(name, 2))
+            q2, q2m = mb.states.add(_aux(name, "2")), mb.states.add(_aux(name, "2-"))
             for a in wild:
-                emit(_work(), a, a_sym, Move(_work(), (_nt_sym(b), f1), DOWN))
-                emit(_signed(b, "+"), a, f1, Move(_work(), (_nt_sym(c), f2), DOWN))
+                emit(_WORK, a, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN))
+                emit(_signed(b, "+"), a, f1, Move(_WORK, (_nt_sym(c), f2), DOWN))
                 emit(_signed(b, "-"), a, f1, Move(_signed(name, "-"), (), UP))
                 emit(_signed(c, "+"), a, f2, Move(q2, (), DOWN))
                 emit(q2, a, f1, Move(_signed(name, "+"), (), DOWN))
@@ -172,71 +148,35 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
                 emit(q2m, a, f1, Move(_signed(name, "-"), (), UP))
         elif isinstance(body, Choice):
             b, c = body.first.name, body.second.name
-            f1, f2 = _frame(name, 1), _frame(name, 2)
-            q2 = _aux(name, "2")
-            gamma += [f1, f2]
-            states += [q2]
+            f1, f2 = mb.stack_alphabet.add(_frame(name, 1)), mb.stack_alphabet.add(_frame(name, 2))
+            q2 = mb.states.add(_aux(name, "2"))
             for a in wild:
-                emit(_work(), a, a_sym, Move(_work(), (_nt_sym(b), f1), DOWN))
+                emit(_WORK, a, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN))
                 emit(_signed(b, "+"), a, f1, Move(_signed(name, "+"), (), DOWN))
                 emit(_signed(b, "-"), a, f1, Move(q2, (), UP))
                 # After the up pop the rule's own nonterminal is on top again.
-                emit(q2, a, a_sym, Move(_work(), (_nt_sym(c), f2), DOWN))
+                emit(q2, a, a_sym, Move(_WORK, (_nt_sym(c), f2), DOWN))
                 emit(_signed(c, "+"), a, f2, Move(_signed(name, "+"), (), DOWN))
                 emit(_signed(c, "-"), a, f2, Move(_signed(name, "-"), (), UP))
         elif isinstance(body, Not):
             b = body.inner.name
-            f1 = _frame(name, 1)
-            gamma.append(f1)
+            f1 = mb.stack_alphabet.add(_frame(name, 1))
             for a in wild:
-                emit(_work(), a, a_sym, Move(_work(), (_nt_sym(b), f1), DOWN))
+                emit(_WORK, a, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN))
                 emit(_signed(b, "+"), a, f1, Move(_signed(name, "-"), (), UP))
                 emit(_signed(b, "-"), a, f1, Move(_signed(name, "+"), (), UP))
         elif isinstance(body, Empty):
             for a in wild:
-                emit(_work(), a, a_sym, Move(_signed(name, "+"), (), HAT_DOWN))
+                emit(_WORK, a, a_sym, Move(_signed(name, "+"), (), HAT_DOWN))
         elif isinstance(body, Terminal):
-            emit(_work(), body.symbol, a_sym, Move(_signed(name, "+"), (), HAT_RIGHT))
+            emit(_WORK, body.symbol, a_sym, Move(_signed(name, "+"), (), HAT_RIGHT))
             for a in wild:
                 if a != body.symbol:
-                    emit(_work(), a, a_sym, Move(_signed(name, "-"), (), HAT_DOWN))
+                    emit(_WORK, a, a_sym, Move(_signed(name, "-"), (), HAT_DOWN))
         else:  # pragma: no cover - shape checked above
             raise NotCnfError(f"unexpected body {body!r}")
 
-    machine = Machine(
-        states=tuple(states),
-        input_alphabet=tuple(sigma),
-        stack_alphabet=tuple(gamma),
-        finals=(_final(),),
-        initial_state=_initial(),
-        bottom=_BOTTOM,
-        delta=delta,
-        two_way=False,
-        meta=(
-            (META_KIND, META_KIND_COMPILED),
-            (META_AXIOM_SYMBOL, _nt_sym(g.axiom)),
-            (META_WORK_STATE, _work()),
-            (META_OK_STATE, _signed(g.axiom, "+")),
-            (META_FAIL_STATE, _signed(g.axiom, "-")),
-        ),
-    )
-    return desugar_hat_moves(machine)
-
-
-def _nts_of(body: Expression) -> list[Nonterminal]:
-    out = []
-    stack = [body]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Nonterminal):
-            out.append(e)
-        elif isinstance(e, Sequence):
-            stack += [e.left, e.right]
-        elif isinstance(e, Choice):
-            stack += [e.first, e.second]
-        elif isinstance(e, Not):
-            stack.append(e.inner)
-    return out
+    return desugar_hat_moves(mb.build())
 
 
 def grammar_to_machine(g: Grammar) -> Machine:
@@ -402,7 +342,8 @@ def dppda_to_peg(m: Machine, keep_all_states: bool = False) -> Grammar:
             rules[key] = fold(alternatives(name))
 
     rules = _drop_failing_alternatives(rules)
-    order = _reachable(rules, _AXIOM_NAME, order)
+    keep = reachable_from(rules, _AXIOM_NAME)
+    order = [name for name in order if name in keep]
     return Grammar.build([(k, rules[k]) for k in order], axiom=_AXIOM_NAME, alphabet=sigma)
 
 
@@ -459,18 +400,6 @@ def _drop_failing_alternatives(rules: dict[str, Expression]) -> dict[str, Expres
         return e
 
     return {name: (Fail() if name in failing else rewrite(body)) for name, body in rules.items()}
-
-
-def _reachable(rules: dict[str, Expression], axiom: str, order: list[str]) -> list[str]:
-    keep = {axiom}
-    work = [axiom]
-    while work:
-        name = work.pop()
-        for e in walk_expr(rules[name]):
-            if isinstance(e, Nonterminal) and e.name not in keep:
-                keep.add(e.name)
-                work.append(e.name)
-    return [name for name in order if name in keep]
 
 
 # --- round trip -----------------------------------------------------------------

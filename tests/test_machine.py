@@ -8,6 +8,7 @@ from pegmachine.pppda import (
     LEFT,
     LEFT_MARK,
     Machine,
+    MachineBuilder,
     Move,
     RIGHT,
     RIGHT_MARK,
@@ -206,3 +207,54 @@ def test_multichar_push_roundtrip():
     )
     again = parse_machine_text(render_machine_text(m))
     assert again.delta[("q", "a", "Z")].push == ("X1", "X2")
+
+
+# --- the machine builder -----------------------------------------------------------
+
+
+def _builder() -> MachineBuilder:
+    return MachineBuilder("q", "Z", "a", states=["q", "p"], stack_alphabet=["Z"])
+
+
+def test_builder_identical_reemit_is_a_no_op():
+    mb = _builder()
+    mb.emit("q", "a", "Z", Move("p", (), RIGHT))
+    mb.emit("q", "a", "Z", Move("p", (), RIGHT))
+    assert mb.build().delta == {("q", "a", "Z"): Move("p", (), RIGHT)}
+
+
+def test_builder_conflicting_emit_raises():
+    mb = _builder()
+    mb.emit("q", "a", "Z", Move("p", (), RIGHT))
+    with pytest.raises(MachineInvariantError):
+        mb.emit("q", "a", "Z", Move("q", (), RIGHT))
+
+
+def test_builder_fresh_skips_taken_names():
+    mb = _builder()
+    assert mb.states.fresh("r") == "r"
+    assert mb.states.fresh("q") == "q'"
+    assert mb.states.fresh("q") == "q''"
+    assert mb.stack_alphabet.fresh("q") == "q"  # states and symbols are separate
+
+
+def test_builder_registries_keep_first_insertion_order():
+    mb = _builder()
+    for q in ("s", "p", "b", "q", "a"):
+        mb.states.note(q)
+    for z in ("Y", "Z", "X", "Y"):
+        mb.stack_alphabet.note(z)
+    m = mb.build()
+    assert m.states == ("q", "p", "s", "b", "a")
+    assert m.stack_alphabet == ("Z", "Y", "X")
+    with pytest.raises(MachineInvariantError):
+        mb.states.add("s")
+
+
+def test_repeated_state_declaration_exits_invalid(tmp_path, capsys):
+    from pegmachine.cli import EXIT_INVALID, main
+
+    path = tmp_path / "dup.mach"
+    path.write_text(ANBNCN_SOURCE.replace("@states q0 q1 qf", "@states q0 q1 q0 qf"))
+    assert main(["check", str(path)]) == EXIT_INVALID
+    assert "duplicate state name" in capsys.readouterr().err
