@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .closures import (
     CompositionSpec,
+    Dpda,
     left_concat_dcfl,
     parse_dfa_text,
     parse_dpda_text,
@@ -24,7 +25,7 @@ from .closures import (
     pel_union,
     reg_closure_machine,
 )
-from .cooksim import run_linear, work_bound_check
+from .cooksim import run_linear, work_bound
 from .errors import ToolkitError
 from .fuzz import FuzzConfig, run_fuzz
 from .peg.ast import Consumed, Grammar, render_grammar_text
@@ -263,9 +264,9 @@ def cmd_bench(args) -> int:
         direct = run_direct(m, word, step_limit=_step_limit(args))
         rows.append((n, lin.ops, direct.steps))
         print(f"{n}\t{lin.ops}\t{direct.steps}")
-        bound = work_bound_check(m, word)
-        if not bound.ok:
-            print(f"work bound exceeded at n={n}: {bound.ops} > {bound.bound}")
+        bound = work_bound(m, len(word))
+        if lin.ops > bound:
+            print(f"work bound exceeded at n={n}: {lin.ops} > {bound}")
             return EXIT_DIVERGENCE
     if args.assert_linear:
         by_n = {n: ops for n, ops, _ in rows}
@@ -316,7 +317,11 @@ def cmd_compose(args) -> int:
         if len(args.paths) != 2:
             raise _Invalid("concat-dcfl needs a DPDA file and a grammar/machine file")
         x = _load_any(args.paths[0])
+        if not isinstance(x, Dpda):
+            raise _Invalid(f"{args.paths[0]}: concat-dcfl needs a DPDA file (@kind dpda) first")
         y = _load_any(args.paths[1])
+        if not isinstance(y, (Grammar, Machine)):
+            raise _Invalid(f"{args.paths[1]}: concat-dcfl needs a grammar or machine file second")
         if isinstance(y, Grammar):
             sigma = list(y.alphabet) + [c for c in x.input_alphabet if c not in y.alphabet]
             y = grammar_to_machine(

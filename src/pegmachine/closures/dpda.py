@@ -19,7 +19,7 @@ from typing import Mapping
 
 from ..errors import MachineInvariantError, MachineTextError
 from ..pppda.machine import Names
-from ..pppda.text import _render_push, _split_push
+from ..pppda.text import _parse_alphabet, _render_push, _split_push
 
 EPSILON = ""
 
@@ -127,8 +127,8 @@ def parse_dpda_text(text: str) -> Dpda:
                 initial = parts[1]
             elif key == "@bottom" and len(parts) == 2:
                 bottom = parts[1]
-            elif key == "@alphabet" and len(parts) == 2 and parts[1][0] == '"':
-                alphabet.update(dict.fromkeys(parts[1][1:-1]))
+            elif key == "@alphabet" and len(parts) == 2:
+                alphabet.update(dict.fromkeys(_parse_alphabet(parts[1], lineno)))
             else:
                 raise MachineTextError(f"bad directive {line!r}", lineno)
             continue

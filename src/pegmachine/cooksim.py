@@ -1,230 +1,144 @@
 """Linear-time simulation of two-way pointer machines by memoized terminators.
 
-A *surface configuration* is the part of a configuration the next move can
-see: state, top stack symbol, head position, and (because up pops consult
-it) the top symbol's origin.  The *terminator* of a surface configuration
-``C`` is the first surface configuration in the run from ``C`` at which
-the symbol that was on top at ``C`` is about to be popped.
+A *surface configuration* ``(state, symbol, head)`` is the part of a
+configuration the next move can see: the state, the top stack symbol and
+the head position.  Its *terminator* is the ``(state, head)`` of the first
+configuration of the run from it at which that top symbol is about to be
+popped.  The chase that finds the terminator never reads the symbol's
+origin: only the pop itself does, when an ``up`` move sends the head back
+there, and the caller that pushed the symbol holds the origin and applies
+that pop.  So the memo is keyed by ``(state, symbol, head)`` alone and has
+at most ``|Q| * |Gamma| * (n + 2)`` entries on a word of length ``n``, as
+in Cook's simulation of two-way deterministic pushdown automata (1971).
 
 Terminators satisfy a recurrence: a pop move terminates immediately, and
-for a push move the terminator of the pushed symbol's episode determines,
-through its pop move, the surface configuration from which the original
-symbol's episode continues with the same top symbol.  Each surface
-configuration is computed at most once into a write-once table; reaching a
-configuration whose computation is still open proves the machine loops,
-and the input is rejected outright.  Evaluation is iterative with an
-explicit frame stack, so recursion depth never grows with the input.
-
-Multi-symbol pushes are handled by chasing the pushed symbols' episodes in
-order, which generalizes the single-push recurrence without changing the
-memoization discipline.
+for a push move the terminators of the pushed symbols' episodes, chased in
+order from the top and each followed by its pop move, give the surface
+configuration from which the original symbol's episode continues.  Each
+surface configuration is computed at most once into a write-once table
+whose values are terminators or one of two sentinels: ``IN_PROGRESS``
+while the chase is open, ``STUCK`` when it reached a configuration with no
+move, so that the symbol is never popped.  Reaching a configuration whose
+chase is still open proves the machine loops, and the input is rejected
+outright.  Evaluation is iterative with an explicit frame stack, so
+recursion depth never grows with the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MachineInvariantError
-from .pppda.machine import LEFT, Machine, RIGHT, UP, letter_at
+from .pppda.machine import DOWN, LEFT, LEFT_MARK, Machine, RIGHT, RIGHT_MARK, UP, letter_at
 
 ACCEPT, REJECT = "accept", "reject"
 
+IN_PROGRESS = "in-progress"
+STUCK = "stuck"
 
-@dataclass(frozen=True)
-class SurfaceConfig:
-    state: str
-    top_symbol: str
-    head: int
-    origin: int
+# Head displacement of every direction but ``up``, which returns to the origin.
+_STEP = {LEFT: -1, DOWN: 0, RIGHT: 1}
 
-
-@dataclass(frozen=True)
-class Done:
-    terminator: SurfaceConfig
-
-
-@dataclass(frozen=True)
-class NoTerminator:
-    """The chase reached a configuration with no move; the top is never popped."""
-
-
-@dataclass(frozen=True)
-class LoopDetected:
-    at: SurfaceConfig
-
-
-TerminatorResult = Done | NoTerminator | LoopDetected
-
-_NO_TERMINATOR = NoTerminator()
-_IN_PROGRESS = object()
-
-
-class TerminatorTable:
-    """Write-once memo of surface configurations, counting table operations."""
-
-    def __init__(self) -> None:
-        self._entries: dict[SurfaceConfig, object] = {}
-        self.ops = 0
-
-    def get(self, key: SurfaceConfig) -> object:
-        self.ops += 1
-        return self._entries.get(key)
-
-    def mark_in_progress(self, key: SurfaceConfig) -> None:
-        self.ops += 1
-        self._entries[key] = _IN_PROGRESS
-
-    def finish(self, key: SurfaceConfig, value: object) -> None:
-        self.ops += 1
-        if self._entries.get(key) is not _IN_PROGRESS:
-            raise MachineInvariantError("terminator table entries are write-once")
-        self._entries[key] = value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-@dataclass
-class _Frame:
-    """Computes the terminator shared by all surface configs in ``keys``.
-
-    ``sym``/``origin`` stay fixed along a frame's chase; ``state``/``head``
-    track the walk.  ``chain`` holds pushed symbols whose episodes must
-    finish (each a child frame) before the walk continues on ``sym``.
-    """
-
-    sym: str
-    origin: int
-    state: str
-    head: int
-    keys: list[SurfaceConfig] = field(default_factory=list)
-    chain: tuple[str, ...] | None = None
-    chain_origin: int = 0
-    chain_idx: int = 0
-
-
-def _new_head(direction: str, head: int, origin: int) -> int:
-    if direction == UP:
-        return origin
-    if direction == RIGHT:
-        return head + 1
-    if direction == LEFT:
-        return head - 1
-    return head
+Key = tuple[str, str, int]  # (state, top symbol, head)
 
 
 def terminator(
-    m: Machine,
-    word: str,
-    c: SurfaceConfig,
-    table: TerminatorTable,
-) -> TerminatorResult:
-    """Compute (and memoize) the terminator of ``c``; reused entries are free."""
+    m: Machine, word: str, key: Key, table: dict[Key, object]
+) -> tuple[object, int, Key | None]:
+    """Compute (and memoize in ``table``) the terminator of ``key``.
+
+    Returns ``(value, ops, loop_at)``.  ``value`` is the terminator
+    ``(state, head)``, ``STUCK``, or ``IN_PROGRESS`` when the chase
+    re-entered ``loop_at``, a key whose chase is still open.  ``ops``
+    counts the table's gets, in-progress marks and finishes.
+    """
     if m.has_hat_moves:
         raise MachineInvariantError("terminator needs a hat-free machine; desugar first")
-    hit = table.get(c)
-    if isinstance(hit, (Done, NoTerminator)):
-        return hit
-    if hit is _IN_PROGRESS:
-        return LoopDetected(c)
-    table.mark_in_progress(c)
-
     delta = m.delta
-    frames = [_Frame(c.top_symbol, c.origin, c.state, c.head, keys=[c])]
-    result: object = None  # child result being handed to the frame below
+    letters = (LEFT_MARK, *word, RIGHT_MARK)
+    ops = 1
+    hit = table.get(key)
+    if hit is IN_PROGRESS:
+        return hit, ops, key
+    if hit is not None:
+        return hit, ops, None
+    ops += 1
+    table[key] = IN_PROGRESS
 
-    while frames:
-        frame = frames[-1]
-        if result is not None:
-            if isinstance(result, NoTerminator):
-                for key in frame.keys:
-                    table.finish(key, _NO_TERMINATOR)
-                frames.pop()
-                continue
-            # Apply the pop move at the child's terminator.
-            t: SurfaceConfig = result.terminator  # type: ignore[union-attr]
-            mv = delta[(t.state, letter_at(word, t.head), t.top_symbol)]
-            frame.state = mv.state
-            frame.head = _new_head(mv.direction, t.head, t.origin)
-            frame.chain_idx += 1
-            result = None
-
-        outcome = _advance(m, word, table, frame)
-        if isinstance(outcome, LoopDetected):
-            return outcome
-        if isinstance(outcome, SurfaceConfig):  # open a child frame
-            table.mark_in_progress(outcome)
-            frames.append(
-                _Frame(outcome.top_symbol, outcome.origin, outcome.state, outcome.head,
-                       keys=[outcome])
-            )
-            continue
-        # frame resolved: Done or NoTerminator
-        for key in frame.keys:
-            table.finish(key, outcome)
-        frames.pop()
-        result = outcome
-
-    assert isinstance(result, (Done, NoTerminator))
-    return result
-
-
-def _advance(
-    m: Machine,
-    word: str,
-    table: TerminatorTable,
-    frame: _Frame,
-):
-    """Drive one frame until it resolves, needs a child, or detects a loop.
-
-    Returns ``Done``/``NoTerminator`` when resolved, a ``SurfaceConfig``
-    when a child episode must be computed first, or ``LoopDetected``.
-    """
-    delta = m.delta
+    # The open frame chases the episode of ``sym``; ``keys`` are the surface
+    # configurations with that symbol on top it has passed, all sharing one
+    # terminator.  While ``chain`` is set, the symbols it pushed are chased
+    # in order, ``chain[idx]`` on top, every one of them with origin ``origin``.
+    state, sym, head = key
+    keys = [key]
+    chain: tuple[str, ...] | None = None
+    idx = origin = 0
+    parents: list[tuple[str, list[Key], tuple[str, ...], int, int]] = []
     while True:
-        if frame.chain is not None:
-            if frame.chain_idx < len(frame.chain):
-                sub = SurfaceConfig(
-                    frame.state,
-                    frame.chain[frame.chain_idx],
-                    frame.head,
-                    frame.chain_origin,
-                )
-                hit = table.get(sub)
-                if hit is _IN_PROGRESS:
-                    return LoopDetected(sub)
-                if isinstance(hit, NoTerminator):
-                    return hit
-                if isinstance(hit, Done):
-                    t = hit.terminator
-                    mv = delta[(t.state, letter_at(word, t.head), t.top_symbol)]
-                    frame.state = mv.state
-                    frame.head = _new_head(mv.direction, t.head, t.origin)
-                    frame.chain_idx += 1
-                    continue
-                return sub  # unvisited: compute the child episode
-            # Chain finished: the frame's own symbol is on top again.
-            frame.chain = None
-            tail = SurfaceConfig(frame.state, frame.sym, frame.head, frame.origin)
+        if chain is None:
+            mv = delta.get((state, letters[head], sym))
+            if mv is None:
+                value: object = STUCK
+            elif not mv.push:
+                value = (state, head)
+            else:
+                state = mv.state
+                head += _STEP[mv.direction]
+                chain, idx, origin = mv.push, 0, head
+                continue
+        elif idx < len(chain):
+            top = chain[idx]
+            sub = (state, top, head)
+            ops += 1
+            hit = table.get(sub)
+            if hit is None:  # suspend this frame and chase the pushed symbol
+                ops += 1
+                table[sub] = IN_PROGRESS
+                parents.append((sym, keys, chain, idx, origin))
+                sym, keys, chain = top, [sub], None
+                continue
+            if hit is IN_PROGRESS:
+                return hit, ops, sub
+            if hit is STUCK:
+                value = STUCK
+            else:
+                state, head = hit  # type: ignore[misc]
+                mv = delta[(state, letters[head], top)]
+                state = mv.state
+                head = origin if mv.direction == UP else head + _STEP[mv.direction]
+                idx += 1
+                continue
+        else:  # every pushed symbol is popped: the frame's own is on top again
+            chain = None
+            tail = (state, sym, head)
+            ops += 1
             hit = table.get(tail)
-            if hit is _IN_PROGRESS:
-                return LoopDetected(tail)
-            if isinstance(hit, (Done, NoTerminator)):
-                return hit
-            table.mark_in_progress(tail)
-            frame.keys.append(tail)
-            # fall through to inspect the move at the tail surface
-        mv = delta.get((frame.state, letter_at(word, frame.head), frame.sym))
-        if mv is None:
-            return _NO_TERMINATOR
-        if not mv.push:
-            return Done(SurfaceConfig(frame.state, frame.sym, frame.head, frame.origin))
-        new_head = _new_head(mv.direction, frame.head, 0)
-        frame.chain = mv.push
-        frame.chain_origin = new_head
-        frame.chain_idx = 0
-        frame.state = mv.state
-        frame.head = new_head
+            if hit is None:
+                ops += 1
+                table[tail] = IN_PROGRESS
+                keys.append(tail)
+                continue
+            if hit is IN_PROGRESS:
+                return hit, ops, tail
+            value = hit
+        # The frame is resolved; a stuck frame leaves every suspended one stuck.
+        while True:
+            for k in keys:
+                ops += 1
+                if table.get(k) is not IN_PROGRESS:
+                    raise MachineInvariantError("terminator table entries are write-once")
+                table[k] = value
+            if not parents:
+                return value, ops, None
+            sym, keys, chain, idx, origin = parents.pop()
+            if value is not STUCK:
+                break
+        # Apply the pop move of the resolved child symbol, ``chain[idx]``.
+        state, head = value  # type: ignore[misc]
+        mv = delta[(state, letters[head], chain[idx])]
+        state = mv.state
+        head = origin if mv.direction == UP else head + _STEP[mv.direction]
+        idx += 1
 
 
 @dataclass(frozen=True)
@@ -233,32 +147,35 @@ class LinearRun:
     reason: str | None
     ops: int
     table_size: int
-    loop_at: SurfaceConfig | None = None
+    loop_at: Key | None = None
 
 
 def run_linear(m: Machine, word: str) -> LinearRun:
     """Accept or reject in time linear in the input length.
 
     Computes the terminator of the initial surface configuration, applies
-    its pop move, and accepts exactly when that lands in a final state on
-    the right end marker (the stack, being a single symbol deep at start,
-    is then empty).  A detected loop or a stuck chase rejects.
+    its pop move (the bottom symbol's origin is 0), and accepts exactly
+    when that lands in a final state on the right end marker (the stack,
+    being a single symbol deep at start, is then empty).  A detected loop
+    or a stuck chase rejects.
     """
-    table = TerminatorTable()
-    start = SurfaceConfig(m.initial_state, m.bottom, 0, 0)
-    res = terminator(m, word, start, table)
-    if isinstance(res, LoopDetected):
-        return LinearRun(REJECT, "loop", table.ops, len(table), res.at)
-    if isinstance(res, NoTerminator):
-        return LinearRun(REJECT, "stuck", table.ops, len(table))
-    t = res.terminator
-    mv = m.delta[(t.state, letter_at(word, t.head), t.top_symbol)]
-    head = _new_head(mv.direction, t.head, t.origin)
+    table: dict[Key, object] = {}
+    value, ops, loop_at = terminator(m, word, (m.initial_state, m.bottom, 0), table)
+    size = len(table)
+    if size > len(m.states) * len(m.stack_alphabet) * (len(word) + 2):
+        raise MachineInvariantError(f"terminator table outgrew its key space: {size} entries")
+    if value is IN_PROGRESS:
+        return LinearRun(REJECT, "loop", ops, size, loop_at)
+    if value is STUCK:
+        return LinearRun(REJECT, "stuck", ops, size)
+    state, head = value  # type: ignore[misc]
+    mv = m.delta[(state, letter_at(word, head), m.bottom)]
+    head = 0 if mv.direction == UP else head + _STEP[mv.direction]
     if mv.state in m.finals and head == len(word) + 1:
-        return LinearRun(ACCEPT, None, table.ops, len(table))
+        return LinearRun(ACCEPT, None, ops, size)
     if mv.state not in m.finals:
-        return LinearRun(REJECT, "non-final-halt", table.ops, len(table))
-    return LinearRun(REJECT, "not-at-right-end", table.ops, len(table))
+        return LinearRun(REJECT, "non-final-halt", ops, size)
+    return LinearRun(REJECT, "not-at-right-end", ops, size)
 
 
 @dataclass(frozen=True)
@@ -275,13 +192,16 @@ class WorkReport:
 WORK_BOUND_FACTOR = 4
 
 
-def work_bound_check(m: Machine, word: str) -> WorkReport:
-    """Run the linear engine and compare its table operations to the bound.
+def work_bound(m: Machine, n: int) -> int:
+    """The table-operation bound on a word of length ``n``.
 
-    The bound is ``2 * |Q| * |Gamma| * (n + 2) * 4``: at most two episode
-    chases touch each materialized surface configuration, and each touch
-    costs a bounded handful of table operations.
+    ``2 * |Q| * |Gamma| * (n + 2) * 4``: at most two episode chases touch
+    each materialized surface configuration, and each touch costs a
+    bounded handful of table operations.
     """
-    run = run_linear(m, word)
-    bound = 2 * len(m.states) * len(m.stack_alphabet) * (len(word) + 2) * WORK_BOUND_FACTOR
-    return WorkReport(run.ops, bound)
+    return 2 * len(m.states) * len(m.stack_alphabet) * (n + 2) * WORK_BOUND_FACTOR
+
+
+def work_bound_check(m: Machine, word: str) -> WorkReport:
+    """Run the linear engine and compare its table operations to the bound."""
+    return WorkReport(run_linear(m, word).ops, work_bound(m, len(word)))

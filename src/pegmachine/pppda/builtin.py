@@ -61,3 +61,32 @@ def builtin_loop() -> Machine:
         delta=delta,
         two_way=False,
     )
+
+
+def builtin_sweep() -> Machine:
+    """Three-state machine recognizing a* with a quadratic direct run.
+
+    It pushes one ``X`` per letter; then every ``X``'s ``up`` pop sends the
+    head back to that symbol's origin, from where the machine sweeps right
+    to the end marker again.  Each origin is read only at its symbol's pop,
+    so the memoizing engine's table stays linear in the word length.
+    """
+    delta = {
+        ("q0", LEFT_MARK, "Z"): Move("q0", ("X",), RIGHT),
+        ("q0", "a", "X"): Move("q0", ("X",), RIGHT),
+        ("q0", RIGHT_MARK, "X"): Move("r", (), UP),
+        ("r", "a", "X"): Move("r", (), HAT_RIGHT),
+        ("r", "a", "Z"): Move("r", (), HAT_RIGHT),
+        ("r", RIGHT_MARK, "X"): Move("r", (), UP),
+        ("r", RIGHT_MARK, "Z"): Move("f", (), DOWN),
+    }
+    return Machine(
+        states=("q0", "r", "f"),
+        input_alphabet=("a", "b"),
+        stack_alphabet=("Z", "X"),
+        finals=("f",),
+        initial_state="q0",
+        bottom="Z",
+        delta=delta,
+        two_way=False,
+    )

@@ -46,6 +46,13 @@ def _parse_letter(tok: str, lineno: int) -> str:
     raise MachineTextError(f"bad letter token {tok!r}", lineno)
 
 
+def _parse_alphabet(tok: str, lineno: int) -> str:
+    """The letters of an ``@alphabet`` argument, which must be quoted."""
+    if not (len(tok) >= 2 and tok[0] == '"' and tok[-1] == '"'):
+        raise MachineTextError("@alphabet needs a quoted string", lineno)
+    return tok[1:-1]
+
+
 def _render_letter(a: str) -> str:
     return a if a in (LEFT_MARK, RIGHT_MARK) else f'"{a}"'
 
@@ -105,10 +112,7 @@ def parse_machine_text(text: str) -> Machine:
             elif key == "@bottom" and len(parts) == 2:
                 bottom = parts[1]
             elif key == "@alphabet" and len(parts) == 2:
-                arg = parts[1]
-                if not (len(arg) >= 2 and arg[0] == '"' and arg[-1] == '"'):
-                    raise MachineTextError("@alphabet needs a quoted string", lineno)
-                alphabet.update(dict.fromkeys(arg[1:-1]))
+                alphabet.update(dict.fromkeys(_parse_alphabet(parts[1], lineno)))
             elif key == "@twoway" and len(parts) == 2 and parts[1] in ("yes", "no"):
                 two_way = parts[1] == "yes"
             elif key == "@meta" and len(parts) >= 3:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import FIG2_TEXT, dfa_pairs, dpda_anbn, dpda_cmd, dpda_single
 from pegmachine.closures import render_dfa_text, render_dpda_text
+from pegmachine.pppda import builtin_sweep, render_machine_text
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -245,6 +246,16 @@ def test_bench_asserts_linear(tmp_path):
     assert len(rows) == 3
 
 
+def test_bench_origin_sweep_is_linear(tmp_path):
+    """Up pops that return to many origins keep cook's work linear."""
+    mach = tmp_path / "sweep.mach"
+    mach.write_text(render_machine_text(builtin_sweep()))
+    proc = run_cli(
+        "bench", str(mach), "--family", "a", "--sizes", "50,100,200", "--assert-linear"
+    )
+    assert proc.returncode == 0, proc.stdout
+
+
 def test_bench_triple_block_family(tmp_path):
     mach = tmp_path / "anbncn.mach"
     mach.write_text(ANBNCN_SOURCE)
@@ -271,3 +282,24 @@ def test_fuzz_reproducible():
 def test_fuzz_zero_cases_vacuous():
     proc = run_cli("fuzz", "--cases", "0")
     assert proc.returncode == 0
+
+
+def test_compose_concat_needs_a_dpda_first(tmp_path):
+    g = tmp_path / "g.peg"
+    g.write_text('S <- "a"\n')
+    proc = run_cli("compose", "concat-dcfl", str(g), str(g))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    dpda_file = tmp_path / "a.dpda"
+    dpda_file.write_text(render_dpda_text(dpda_single("a")))
+    proc = run_cli("compose", "concat-dcfl", str(dpda_file), str(dpda_file))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_dpda_alphabet_needs_closing_quote(tmp_path):
+    path = tmp_path / "bad.dpda"
+    path.write_text(render_dpda_text(dpda_single("a")).replace('@alphabet "a"', '@alphabet "ab'))
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2
+    assert "@alphabet needs a quoted string" in proc.stderr

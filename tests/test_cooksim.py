@@ -3,10 +3,8 @@ import time
 import pytest
 
 from pegmachine.cooksim import (
-    Done,
-    LoopDetected,
-    SurfaceConfig,
-    TerminatorTable,
+    IN_PROGRESS,
+    STUCK,
     WORK_BOUND_FACTOR,
     run_linear,
     terminator,
@@ -22,6 +20,7 @@ from pegmachine.pppda import (
     UP,
     builtin_anbncn,
     builtin_loop,
+    builtin_sweep,
     desugar_hat_moves,
     run_direct,
 )
@@ -37,11 +36,9 @@ def _md():
 
 def test_pop_surface_is_its_own_terminator():
     md = _md()
-    table = TerminatorTable()
     # (q0, b, X) pops: the surface terminates itself.
-    c = SurfaceConfig("q0", "X", 4, 2)
-    res = terminator(md, "aaabbbccc", c, table)
-    assert res == Done(c)
+    value, _, _ = terminator(md, "aaabbbccc", ("q0", "X", 4), {})
+    assert value == ("q0", 4)
 
 
 def test_two_rule_machine_loops():
@@ -55,20 +52,17 @@ def test_two_rule_machine_loops():
         states=("q", "h"), input_alphabet=("a",), stack_alphabet=("Z", "H", "Z2"),
         finals=(), initial_state="q", bottom="Z", delta=delta,
     )
-    table = TerminatorTable()
-    res = terminator(m, "a", SurfaceConfig("q", "Z", 1, 1), table)
-    assert isinstance(res, LoopDetected)
-    assert res.at == SurfaceConfig("q", "Z", 1, 1)
+    value, _, loop_at = terminator(m, "a", ("q", "Z", 1), {})
+    assert value is IN_PROGRESS
+    assert loop_at == ("q", "Z", 1)
 
 
 def test_initial_terminator_gives_acceptance():
     md = _md()
-    table = TerminatorTable()
-    res = terminator(md, "abc", SurfaceConfig(md.initial_state, md.bottom, 0, 0), table)
-    assert isinstance(res, Done)
-    t = res.terminator
-    assert t.top_symbol == "Z0"
-    mv = md.delta[(t.state, ">", t.top_symbol)]
+    value, _, _ = terminator(md, "abc", (md.initial_state, md.bottom, 0), {})
+    state, head = value
+    assert head == len("abc") + 1
+    mv = md.delta[(state, RIGHT_MARK, md.bottom)]
     assert mv.state == "qf" and mv.direction == DOWN
     assert run_linear(md, "abc").outcome == "accept"
 
@@ -128,13 +122,18 @@ def test_stuck_chase_rejects():
     assert (lin.outcome, lin.reason) == ("reject", "stuck")
 
 
+class _ForgetfulTable(dict):
+    """Loses every in-progress mark, so each finish meets an unmarked key."""
+
+    def __setitem__(self, key, value):
+        if value is not IN_PROGRESS:
+            super().__setitem__(key, value)
+
+
 def test_memo_write_once():
-    table = TerminatorTable()
-    c = SurfaceConfig("q", "Z", 0, 0)
-    table.mark_in_progress(c)
-    table.finish(c, Done(c))
-    with pytest.raises(MachineInvariantError):
-        table.finish(c, Done(c))
+    md = _md()
+    with pytest.raises(MachineInvariantError, match="write-once"):
+        terminator(md, "abc", (md.initial_state, md.bottom, 0), _ForgetfulTable())
 
 
 def test_work_counter_linear_growth():
@@ -175,31 +174,45 @@ def test_compiled_fig2_linear_growth_on_a_blocks(fig2):
     assert 1.8 <= ops[100] / ops[50] <= 2.2
 
 
+def test_sweep_table_stays_within_key_space():
+    m = desugar_hat_moves(builtin_sweep())
+    n = 800
+    run = run_linear(m, "a" * n)
+    assert run.outcome == "accept"
+    assert run.table_size <= len(m.states) * len(m.stack_alphabet) * (n + 2)
+
+
+@pytest.mark.parametrize("n", [100, 400, 800])
+def test_sweep_work_bound(n):
+    m = desugar_hat_moves(builtin_sweep())
+    report = work_bound_check(m, "a" * n)
+    assert report.ok, report
+
+
 def test_terminator_matches_instrumented_replay():
-    """A Done entry names the first surface where that symbol is popped."""
+    """A terminator names the first surface where that symbol is popped.
+
+    A ``STUCK`` entry names a symbol that is never popped.  Neither depends
+    on the symbol's origin, so the replay starts from every origin.
+    """
     from pegmachine.pppda.machine import Configuration, Halt, step
 
     md = _md()
     for word in all_words("abc", 6):
-        table = TerminatorTable()
-        res = terminator(md, word, SurfaceConfig(md.initial_state, md.bottom, 0, 0), table)
-        for key, want in list(table._entries.items()):
-            if not isinstance(want, Done):
-                continue
-            c = Configuration(key.state, ((key.top_symbol, key.origin),), key.head)
-            seen = None
-            for _ in range(2000):
-                if len(c.stack) == 1:
+        table = {}
+        terminator(md, word, (md.initial_state, md.bottom, 0), table)
+        for (state, sym, head), want in table.items():
+            assert want is not IN_PROGRESS, (word, state, sym, head)
+            for origin in range(len(word) + 2):
+                c = Configuration(state, ((sym, origin),), head)
+                seen = None
+                for _ in range(2000):
                     nxt = step(md, c, word)
                     if isinstance(nxt, Halt):
+                        seen = STUCK
                         break
-                    if len(nxt.stack) == 0:
-                        seen = SurfaceConfig(c.state, c.stack[0][0], c.head, c.stack[0][1])
-                        break
-                    c = nxt
-                else:
-                    nxt = step(md, c, word)
-                    if isinstance(nxt, Halt):
+                    if len(c.stack) == 1 and len(nxt.stack) == 0:
+                        seen = (c.state, c.head)
                         break
                     c = nxt
-            assert seen == want.terminator, (word, key)
+                assert seen == want, (word, state, sym, head, origin)

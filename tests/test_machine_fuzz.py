@@ -2,7 +2,8 @@
 
 Random one-way machines exercise corners the hand-built corpus does not:
 pushes and pops on the left end marker, up pops of symbols with origin 0,
-multi-symbol pushes, and partial transition tables.
+multi-symbol pushes, and partial transition tables.  Random two-way
+machines add left moves, which revisit cells with other stacks.
 """
 
 import random
@@ -12,6 +13,7 @@ import pytest
 from pegmachine.cooksim import run_linear
 from pegmachine.pppda import (
     DOWN,
+    LEFT,
     LEFT_MARK,
     Machine,
     Move,
@@ -63,6 +65,41 @@ def random_machine(rng: random.Random) -> Machine:
     )
 
 
+def random_two_way_machine(rng: random.Random) -> Machine:
+    n_states = rng.randint(2, 4)
+    n_syms = rng.randint(1, 3)
+    states = tuple(f"q{i}" for i in range(n_states))
+    gamma = tuple(f"Z{i}" for i in range(n_syms))
+    finals = tuple(q for q in states if rng.random() < 0.4)
+    delta = {}
+    for q in states:
+        for a in list(SIGMA) + [LEFT_MARK, RIGHT_MARK]:
+            steps = [DOWN] + [RIGHT] * (a != RIGHT_MARK) + [LEFT] * (a != LEFT_MARK)
+            for z in gamma:
+                roll = rng.random()
+                if roll < 0.2:
+                    continue  # leave undefined
+                target = rng.choice(states)
+                if roll < 0.5:  # pop, perhaps up to the popped symbol's origin
+                    delta[(q, a, z)] = Move(target, (), rng.choice(steps + [UP]))
+                else:  # push one to three symbols
+                    push = tuple(rng.choice(gamma) for _ in range(rng.randint(1, 3)))
+                    delta[(q, a, z)] = Move(target, push, rng.choice(steps))
+    # Start with a push to the right, so that few runs end on the left end marker.
+    push = tuple(rng.choice(gamma) for _ in range(rng.randint(1, 3)))
+    delta[(states[0], LEFT_MARK, gamma[0])] = Move(rng.choice(states), push, RIGHT)
+    return Machine(
+        states=states,
+        input_alphabet=tuple(SIGMA),
+        stack_alphabet=gamma,
+        finals=finals,
+        initial_state=states[0],
+        bottom=gamma[0],
+        delta=delta,
+        two_way=True,
+    )
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_linear_engine_agrees_with_direct_on_random_machines(seed):
     rng = random.Random(seed)
@@ -77,6 +114,22 @@ def test_linear_engine_agrees_with_direct_on_random_machines(seed):
             # once given room.
             retry = run_direct(m, word, step_limit=5_000_000)
             assert retry.outcome != "budget" and linear.outcome == retry.outcome, word
+
+
+# A halt with symbols left on the stack is a stuck chase to the cook engine.
+_COOK_REASON = {"no-transition": "stuck", "stack-not-empty": "stuck"}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_linear_engine_agrees_with_direct_on_random_two_way_machines(seed):
+    m = random_two_way_machine(random.Random(seed))
+    for word in all_words(SIGMA, 5):
+        # No finite run of these machines on these words takes 1000 steps.
+        direct = run_direct(m, word, step_limit=2_000)
+        if direct.outcome != "budget":
+            want = (direct.outcome, _COOK_REASON.get(direct.reason, direct.reason))
+            linear = run_linear(m, word)
+            assert (linear.outcome, linear.reason) == want, (word, linear)
 
 
 @pytest.mark.parametrize("seed", range(30))
