@@ -2,14 +2,15 @@
 
 Commands: check, desugar, cnf, normalize, compile, extract, run, trace,
 bench, fuzz, compose.  Exit codes: 0 accept/success, 1 reject/ill-formed,
-2 invalid input, 3 budget exhausted, 4 internal divergence.  The
-environment variable ``PEGMACHINE_STEP_LIMIT`` overrides the direct
-engine's default step limit.
+2 invalid input, 3 budget exhausted, 4 internal divergence or an
+internal error.  The environment variable ``PEGMACHINE_STEP_LIMIT``
+overrides the direct engine's default step limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from .peg.interpret import DEFAULT_BUDGET, interpret_naive, interpret_packrat
 from .peg.parser import parse_grammar_text
 from .peg.transform import desugar, to_cnf
 from .peg.wellformed import check_well_formed
-from .pppda.machine import Machine, run_direct
+from .pppda.machine import Machine, TraceEvent, run_direct, trace_direct
 from .pppda.normalize import desugar_hat_moves, normalize
 from .pppda.text import parse_machine_text, render_machine_text
 from .translate import dppda_to_peg, grammar_to_machine
@@ -60,7 +61,7 @@ def _read(path: str) -> str:
 def _load_any(path: str):
     """Grammar, machine, DPDA, DFA or composition spec, by content sniffing."""
     text = _read(path)
-    head = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    head = [ln for ln in map(str.strip, text.splitlines()) if ln.startswith("@")]
     kinds = [ln.split()[1] for ln in head if ln.startswith("@kind ")]
     try:
         if kinds == ["dpda"]:
@@ -186,20 +187,30 @@ def cmd_run(args) -> int:
         print(run.outcome)
         _emit_stats(args, stats)
         return EXIT_ACCEPT if run.outcome == "accept" else EXIT_REJECT
-    run = run_direct(machine, word, step_limit=_step_limit(args), collect_trace=args.trace)
     if args.trace:
-        for i, ev in enumerate(run.trace):
-            origin = str(ev.popped[1]) if ev.popped else "-"
-            print(
-                f"{i}\t{ev.kind}\t{ev.after.state}\t{ev.after.head}"
-                f"\t{len(ev.after.stack)}\t{origin}"
-            )
+        run = trace_direct(machine, word, _trace_printer(), _step_limit(args))
+    else:
+        run = run_direct(machine, word, step_limit=_step_limit(args))
     stats["direct.steps"] = run.steps
     print(run.outcome if run.outcome != "budget" else "budget")
     _emit_stats(args, stats)
     if run.outcome == "budget":
         return EXIT_BUDGET
     return EXIT_ACCEPT if run.outcome == "accept" else EXIT_REJECT
+
+
+def _trace_printer():
+    """A ``trace_direct`` callback printing one numbered line per event."""
+    count = itertools.count()
+
+    def print_event(ev: TraceEvent) -> None:
+        origin = str(ev.popped[1]) if ev.popped else "-"
+        print(
+            f"{next(count)}\t{ev.kind}\t{ev.after.state}\t{ev.after.head}"
+            f"\t{len(ev.after.stack)}\t{origin}"
+        )
+
+    return print_event
 
 
 def _emit_stats(args, stats: dict[str, object]) -> None:
@@ -425,6 +436,10 @@ def main(argv: list[str] | None = None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # a fault of the toolkit, never a verdict
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_DIVERGENCE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -79,13 +79,15 @@ def terminator(
             mv = delta.get((state, letters[head], sym))
             if mv is None:
                 value: object = STUCK
-            elif not mv.push:
-                value = (state, head)
             else:
-                state = mv.state
-                head += _STEP[mv.direction]
-                chain, idx, origin = mv.push, 0, head
-                continue
+                target, push, direction = mv
+                if not push:
+                    value = (state, head)
+                else:
+                    state = target
+                    head += _STEP[direction]
+                    chain, idx, origin = push, 0, head
+                    continue
         elif idx < len(chain):
             top = chain[idx]
             sub = (state, top, head)
@@ -103,9 +105,8 @@ def terminator(
                 value = STUCK
             else:
                 state, head = hit  # type: ignore[misc]
-                mv = delta[(state, letters[head], top)]
-                state = mv.state
-                head = origin if mv.direction == UP else head + _STEP[mv.direction]
+                state, _, direction = delta[(state, letters[head], top)]
+                head = origin if direction == UP else head + _STEP[direction]
                 idx += 1
                 continue
         else:  # every pushed symbol is popped: the frame's own is on top again
@@ -135,9 +136,8 @@ def terminator(
                 break
         # Apply the pop move of the resolved child symbol, ``chain[idx]``.
         state, head = value  # type: ignore[misc]
-        mv = delta[(state, letters[head], chain[idx])]
-        state = mv.state
-        head = origin if mv.direction == UP else head + _STEP[mv.direction]
+        state, _, direction = delta[(state, letters[head], chain[idx])]
+        head = origin if direction == UP else head + _STEP[direction]
         idx += 1
 
 

@@ -16,9 +16,11 @@ right end marker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import MachineInvariantError
 
@@ -30,10 +32,26 @@ HAT_LEFT, HAT_DOWN, HAT_RIGHT = "hatleft", "hatdown", "hatright"
 CORE_DIRECTIONS = (LEFT, DOWN, UP, RIGHT)
 HAT_DIRECTIONS = (HAT_LEFT, HAT_DOWN, HAT_RIGHT)
 _HAT_CORE = {HAT_LEFT: LEFT, HAT_DOWN: DOWN, HAT_RIGHT: RIGHT}
+_DIRECTIONS = frozenset(CORE_DIRECTIONS + HAT_DIRECTIONS)
+_PUSHLESS = frozenset((UP,) + HAT_DIRECTIONS)  # directions that must not push
+_LEFTWARD = frozenset((LEFT, HAT_LEFT))
+_HATS = frozenset(HAT_DIRECTIONS)
+# (letter, direction) pairs that would move the head off the tape.
+_OFF_THE_ENDS = frozenset(
+    [(LEFT_MARK, LEFT), (LEFT_MARK, HAT_LEFT), (RIGHT_MARK, RIGHT), (RIGHT_MARK, HAT_RIGHT)]
+)
+# Columns of δ's keys (state, letter, top symbol) and of its moves.
+_state_of, _letter_of, _top_of = itemgetter(0), itemgetter(1), itemgetter(2)
+_direction_of = itemgetter(2)
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
+    """Target state, symbols pushed (top first) and direction of one transition.
+
+    A plain tuple, so that the engines can unpack it as
+    ``state, push, direction = mv`` and δ compares and hashes in C.
+    """
+
     state: str
     push: tuple[str, ...]
     direction: str
@@ -70,10 +88,18 @@ class Machine:
 
     @cached_property
     def has_hat_moves(self) -> bool:
-        return any(mv.direction in HAT_DIRECTIONS for mv in self.delta.values())
+        return not _HATS.isdisjoint(map(_direction_of, self.delta.values()))
 
 
 def validate_machine(m: Machine) -> None:
+    """Raise :class:`MachineInvariantError` unless ``m`` is a well-formed machine.
+
+    δ is checked in aggregate first: the states, letters, symbols and
+    directions it uses against the declared ones, and the directions of
+    its pushing moves and of its moves on each end marker against the
+    rules that bind them.  Only when one of those checks fails is δ walked
+    transition by transition, so the error names the first offender.
+    """
     states = set(m.states)
     if len(states) != len(m.states):
         raise MachineInvariantError("duplicate state name")
@@ -90,6 +116,22 @@ def validate_machine(m: Machine) -> None:
         raise MachineInvariantError("final states must be states")
     if m.bottom not in gamma:
         raise MachineInvariantError(f"bottom symbol {m.bottom!r} not in stack alphabet")
+    delta = m.delta
+    moves = set(delta.values())
+    reads = set(zip(map(_letter_of, delta), map(_direction_of, delta.values())))
+    directions = {d for _, d in reads}
+    if (
+        states.issuperset(map(_state_of, delta))
+        and states.issuperset(mv.state for mv in moves)
+        and (sigma | {LEFT_MARK, RIGHT_MARK}).issuperset(a for a, _ in reads)
+        and gamma.issuperset(map(_top_of, delta))
+        and gamma.issuperset(chain.from_iterable(mv.push for mv in moves))
+        and _DIRECTIONS.issuperset(directions)
+        and _PUSHLESS.isdisjoint(mv.direction for mv in moves if mv.push)
+        and reads.isdisjoint(_OFF_THE_ENDS)
+        and (m.two_way or _LEFTWARD.isdisjoint(directions))
+    ):
+        return
     for (q, a, z), mv in m.delta.items():
         where = f"delta({q!r}, {a!r}, {z!r})"
         if q not in states or mv.state not in states:
@@ -131,9 +173,9 @@ class Names(dict):
         self[name] = None
         return name
 
-    def note(self, name: str) -> None:
-        """Register ``name`` unless it is already present."""
-        self.setdefault(name)
+    # ``note(name)`` registers ``name`` unless it is already present.  It is
+    # the C method itself: readers and builders call it once per transition.
+    note = dict.setdefault
 
     def fresh(self, base: str) -> str:
         """Register and return ``base`` primed (``'``) until it is new."""
@@ -324,6 +366,20 @@ def default_step_limit(m: Machine, word: str) -> int:
     return 1000 * (len(word) + 2) * len(m.states) * len(m.stack_alphabet)
 
 
+def _verdict(m: Machine, word: str, steps: int, final: Configuration) -> DirectRun:
+    """The outcome of a run that halted in ``final`` after ``steps`` moves."""
+    at_end = final.state in m.finals and final.head == len(word) + 1
+    if not final.stack:
+        if at_end:
+            return DirectRun(ACCEPT, None, steps, final)
+        if final.state not in m.finals:
+            return DirectRun(REJECT, "non-final-halt", steps, final)
+        return DirectRun(REJECT, "not-at-right-end", steps, final)
+    if at_end:
+        return DirectRun(REJECT, "stack-not-empty", steps, final)
+    return DirectRun(REJECT, "no-transition", steps, final)
+
+
 def run_direct(
     m: Machine,
     word: str,
@@ -335,61 +391,83 @@ def run_direct(
     Accepts when the run halts with an empty stack in a final state with
     the head on the right end marker; any other halt rejects, with the
     reason recorded.  ``budget`` is returned after ``step_limit`` moves.
+    With ``collect_trace`` the run is :func:`trace_direct`'s, and every
+    event is kept in ``trace``.
     """
     if m.has_hat_moves:
         raise MachineInvariantError("run_direct needs a hat-free machine; desugar first")
     limit = default_step_limit(m, word) if step_limit is None else step_limit
-    delta = m.delta
-    end = len(word) + 1
-    finals = set(m.finals)
+    if collect_trace:
+        trace: list[TraceEvent] = []
+        return replace(trace_direct(m, word, trace.append, limit), trace=tuple(trace))
+    get = m.delta.get
+    letters = (LEFT_MARK, *word, RIGHT_MARK)
     state = m.initial_state
-    stack: list[tuple[str, int]] = [(m.bottom, 0)]
-    head = 0
-    steps = 0
-    trace: list[TraceEvent] = []
-
-    def snapshot() -> Configuration:
-        return Configuration(state, tuple(reversed(stack)), head)
-
-    while True:
-        if not stack:
-            break
-        mv = delta.get((state, letter_at(word, head), stack[-1][0]))
+    symbols = [m.bottom]  # the stack, top last
+    origins = [0]  # the origin of each entry of ``symbols``
+    head = steps = 0
+    while symbols:
+        mv = get((state, letters[head], symbols[-1]))
         if mv is None:
             break
         if steps >= limit:
-            return DirectRun(BUDGET, None, steps, snapshot(), tuple(trace))
-        before = snapshot() if collect_trace else None
-        if not mv.push:
-            popped = stack.pop()
-            if mv.direction == UP:
-                head = popped[1]
-            elif mv.direction == RIGHT:
+            return DirectRun(BUDGET, None, steps, _configuration(state, symbols, origins, head))
+        state, push, direction = mv
+        if push:
+            if direction == RIGHT:
                 head += 1
-            elif mv.direction == LEFT:
+            elif direction == LEFT:
                 head -= 1
-            state = mv.state
-            if collect_trace:
-                trace.append(TraceEvent("pop", before, snapshot(), popped, mv.direction))
+            if len(push) == 1:
+                symbols.append(push[0])
+                origins.append(head)
+            else:
+                symbols.extend(reversed(push))
+                origins.extend([head] * len(push))
         else:
-            if mv.direction == RIGHT:
+            symbols.pop()
+            origin = origins.pop()
+            if direction == UP:
+                head = origin
+            elif direction == RIGHT:
                 head += 1
-            elif mv.direction == LEFT:
+            elif direction == LEFT:
                 head -= 1
-            for sym in reversed(mv.push):
-                stack.append((sym, head))
-            state = mv.state
-            if collect_trace:
-                trace.append(TraceEvent("push", before, snapshot()))
         steps += 1
+    return _verdict(m, word, steps, _configuration(state, symbols, origins, head))
 
-    final = snapshot()
-    if not stack:
-        if state in finals and head == end:
-            return DirectRun(ACCEPT, None, steps, final, tuple(trace))
-        if state not in finals:
-            return DirectRun(REJECT, "non-final-halt", steps, final, tuple(trace))
-        return DirectRun(REJECT, "not-at-right-end", steps, final, tuple(trace))
-    if state in finals and head == end:
-        return DirectRun(REJECT, "stack-not-empty", steps, final, tuple(trace))
-    return DirectRun(REJECT, "no-transition", steps, final, tuple(trace))
+
+def _configuration(state: str, symbols: list[str], origins: list[int], head: int) -> Configuration:
+    return Configuration(state, tuple(zip(reversed(symbols), reversed(origins))), head)
+
+
+def trace_direct(
+    m: Machine,
+    word: str,
+    on_event: Callable[[TraceEvent], object],
+    step_limit: int | None = None,
+) -> DirectRun:
+    """The reference run: iterate :func:`step` from :func:`initial_configuration`.
+
+    Each move is handed to ``on_event`` as a :class:`TraceEvent` as soon as
+    it is made and is not kept, so memory is bounded by the stack depth
+    rather than by the number of steps.  The result carries no trace.
+    """
+    if m.has_hat_moves:
+        raise MachineInvariantError("trace_direct needs a hat-free machine; desugar first")
+    limit = default_step_limit(m, word) if step_limit is None else step_limit
+    c = initial_configuration(m)
+    steps = 0
+    while True:
+        after = step(m, c, word)
+        if isinstance(after, Halt):
+            return _verdict(m, word, steps, c)
+        if steps >= limit:
+            return DirectRun(BUDGET, None, steps, c)
+        if len(after.stack) > len(c.stack):
+            on_event(TraceEvent("push", c, after))
+        else:
+            direction = m.delta[(c.state, letter_at(word, c.head), c.stack[0][0])].direction
+            on_event(TraceEvent("pop", c, after, c.stack[0], direction))
+        c = after
+        steps += 1

@@ -47,19 +47,22 @@ def desugar_hat_moves(m: Machine) -> Machine:
     if not m.has_hat_moves:
         return m
     mb = MachineBuilder.like(m)
+    emit = mb.emit
+    wild = _wild(m)
     for (q, a, z), mv in m.delta.items():
-        if mv.direction not in HAT_DIRECTIONS:
-            mb.emit(q, a, z, mv)
+        target, _, direction = mv
+        if direction not in HAT_DIRECTIONS:
+            emit(q, a, z, mv)
             continue
-        core = _HAT_CORE[mv.direction]
+        core = _HAT_CORE[direction]
         sym = mb.stack_alphabet.fresh(f"hat:{q}:{a}:{z}")
         mid = mb.states.fresh(f"hats:{q}:{a}:{z}")
-        mb.emit(q, a, z, Move(mid, (sym,), core))
-        pop_letters = list(m.input_alphabet) + [RIGHT_MARK]
-        if core != RIGHT:
-            pop_letters.append(LEFT_MARK)  # a hatdown/hatleft may pop on the marker
-        for sigma in pop_letters:
-            mb.emit(mid, sigma, sym, Move(mv.state, (), DOWN))
+        emit(q, a, z, Move(mid, (sym,), core))
+        pop = Move(target, (), DOWN)
+        for sigma in wild:
+            emit(mid, sigma, sym, pop)
+        if core != RIGHT:  # a hatdown/hatleft may pop on the marker
+            emit(mid, LEFT_MARK, sym, pop)
     return mb.build()
 
 
@@ -102,18 +105,22 @@ def _wild(m: Machine) -> list[str]:
 
 def _stage_pop_directions(m: Machine) -> Machine:
     mb = MachineBuilder.like(m)
+    emit = mb.emit
+    wild = _wild(m)
     for (q, a, z), mv in m.delta.items():
-        if mv.push or mv.direction in (DOWN, UP):
-            mb.emit(q, a, z, mv)
+        target, push, direction = mv
+        if push or direction == DOWN or direction == UP:
+            emit(q, a, z, mv)
             continue
         # Pop moving right: shuffle one cell right, then pop down there.
         sym = mb.stack_alphabet.fresh(f"nr:{q}:{a}:{z}")
         mid1 = mb.states.fresh(f"nr1:{q}:{a}:{z}")
         mid2 = mb.states.fresh(f"nr2:{q}:{a}:{z}")
-        mb.emit(q, a, z, Move(mid1, (sym,), RIGHT))
-        for sigma in _wild(m):
-            mb.emit(mid1, sigma, sym, Move(mid2, (), DOWN))
-            mb.emit(mid2, sigma, z, Move(mv.state, (), DOWN))
+        emit(q, a, z, Move(mid1, (sym,), RIGHT))
+        to_mid2, to_target = Move(mid2, (), DOWN), Move(target, (), DOWN)
+        for sigma in wild:
+            emit(mid1, sigma, sym, to_mid2)
+            emit(mid2, sigma, z, to_target)
     return mb.build()
 
 
@@ -127,27 +134,30 @@ def _stage_single_push(m: Machine) -> Machine:
             chain_cache[key] = mb.states.fresh("np:" + target + ":" + ",".join(remaining))
         return chain_cache[key]
 
+    emit = mb.emit
+    # The chain may run on the left end marker too (a down push there keeps
+    # the head on it), so its links act on every letter.
+    every_letter = _wild(m) + [LEFT_MARK]
     for (q, a, z), mv in m.delta.items():
-        if len(mv.push) <= 1:
-            mb.emit(q, a, z, mv)
+        target, syms, direction = mv  # syms[0] is the top once everything is pushed
+        if len(syms) <= 1:
+            emit(q, a, z, mv)
             continue
         # Push the deepest symbol first on the original direction, then the
         # rest one by one with down moves; all land at the same origin.
-        syms = mv.push  # syms[0] is the top once everything is pushed
-        first = chain_state(mv.state, syms[:-1])
-        mb.emit(q, a, z, Move(first, (syms[-1],), mv.direction))
+        first = chain_state(target, syms[:-1])
+        emit(q, a, z, Move(first, (syms[-1],), direction))
         for i in range(len(syms) - 1, 0, -1):
             below = syms[i]  # symbol just pushed, inspected by the next link
             remaining = syms[:i]
-            src = chain_state(mv.state, remaining)
+            src = chain_state(target, remaining)
             if len(remaining) == 1:
-                nxt: str = mv.state
+                nxt: str = target
             else:
-                nxt = chain_state(mv.state, remaining[:-1])
-            # The chain may run on the left end marker too (a down push there
-            # keeps the head on it), so quantify over every letter.
-            for sigma in _wild(m) + [LEFT_MARK]:
-                mb.emit(src, sigma, below, Move(nxt, (remaining[-1],), DOWN))
+                nxt = chain_state(target, remaining[:-1])
+            link = Move(nxt, (remaining[-1],), DOWN)
+            for sigma in every_letter:
+                emit(src, sigma, below, link)
     return mb.build()
 
 
@@ -158,9 +168,10 @@ def _stage_outer_bottom(m: Machine) -> Machine:
     init = mb.states.fresh(_INIT)
     fin = mb.states.fresh(_FIN)
     mb.emit(init, LEFT_MARK, nz, Move(m.initial_state, (m.bottom,), DOWN))
+    to_fin = Move(fin, (), DOWN)
     for f in m.finals:
         for sigma in [LEFT_MARK] + _wild(m):
-            mb.emit(f, sigma, nz, Move(fin, (), DOWN))
+            mb.emit(f, sigma, nz, to_fin)
     mb.initial_state, mb.bottom, mb.finals = init, nz, (fin,)
     return mb.build()
 
@@ -180,10 +191,14 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
     # mode) of symbols pushed in begin mode.
     begin_states: set[str] = {m.initial_state}
     tagged_syms: set[str] = set()
+    entries = [
+        (key, mv) for key, mv in m.delta.items()
+        if key[1] == LEFT_MARK or (not mv.push and mv.direction == UP)
+    ]
     changed = True
     while changed:
         changed = False
-        for (q, a, _z), mv in m.delta.items():
+        for (q, a, _z), mv in entries:
             if a == LEFT_MARK and q in begin_states:
                 if mv.push and mv.direction == DOWN:
                     if mv.push[0] not in tagged_syms:
@@ -219,26 +234,31 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
     skip_state = mb.states.fresh(_SKIP_STATE)
     skip_sym = mb.stack_alphabet.fresh(_SKIP_SYM)
 
+    emit = mb.emit
+    wild = _wild(m)
+    norm = {q: _norm(q) for q in m.states}
     for (q, a, z), mv in m.delta.items():
         if a == LEFT_MARK:
             if q not in begin_states:
                 continue
             for variant in (z,) if z not in tagged_syms else (z, _tagged(z)):
                 translated = _begin_move(mv, tagged=variant != z)
-                for sigma in _wild(m):
-                    mb.emit(_begin(q), sigma, variant, translated)
-        else:
-            for variant in (z,) if z not in tagged_syms else (z, _tagged(z)):
-                if not mv.push and mv.direction == UP and variant != z:
-                    out = Move(_begin(mv.state), (), UP)
-                else:
-                    out = Move(_norm(mv.state), mv.push, mv.direction)
-                mb.emit(_norm(q), a, variant, out)
+                for sigma in wild:
+                    emit(_begin(q), sigma, variant, translated)
+            continue
+        target, push, direction = mv
+        out = Move(norm[target], push, direction)
+        emit(norm[q], a, z, out)
+        if z in tagged_syms:
+            if not push and direction == UP:
+                out = Move(_begin(target), (), UP)
+            emit(norm[q], a, _tagged(z), out)
 
     init = mb.initial_state
     mb.emit(init, LEFT_MARK, m.bottom, Move(skip_state, (skip_sym,), RIGHT))
-    for sigma in _wild(m):
-        mb.emit(skip_state, sigma, skip_sym, Move(init, (), DOWN))
+    to_init = Move(init, (), DOWN)
+    for sigma in wild:
+        mb.emit(skip_state, sigma, skip_sym, to_init)
     return mb.build()
 
 
@@ -263,12 +283,15 @@ def check_normal(m: Machine) -> None:
     left_entries = [k for k in m.delta if k[1] == LEFT_MARK]
     if len(left_entries) > 1:
         raise NotNormalError("left end marker is consulted beyond the initial skip")
-    for (q, a, z), mv in m.delta.items():
-        if not mv.push and mv.direction not in (DOWN, UP):
-            raise NotNormalError(f"pop at {(q, a, z)!r} moves {mv.direction}")
-        if len(mv.push) > 1:
-            raise NotNormalError(f"push at {(q, a, z)!r} adds {len(mv.push)} symbols")
-        if m.bottom in mv.push:
-            raise NotNormalError("bottom marker occurs in a push string")
-        if z == m.bottom and not mv.push and mv.direction != DOWN:
-            raise NotNormalError("bottom marker must be popped down")
+    bottom = m.bottom
+    for key, (_, push, direction) in m.delta.items():
+        if push:
+            if len(push) > 1:
+                raise NotNormalError(f"push at {key!r} adds {len(push)} symbols")
+            if bottom in push:
+                raise NotNormalError("bottom marker occurs in a push string")
+        elif direction != DOWN:
+            if direction != UP:
+                raise NotNormalError(f"pop at {key!r} moves {direction}")
+            if key[2] == bottom:
+                raise NotNormalError("bottom marker must be popped down")

@@ -97,37 +97,38 @@ def parse_machine_text(text: str) -> Machine:
     body: list[tuple[int, list[str]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("@"):
-            parts = line.split()
-            key = parts[0]
-            if key == "@states":
-                states.extend(parts[1:])
-            elif key == "@final":
-                finals.extend(parts[1:])
-            elif key == "@initial" and len(parts) == 2:
-                initial = parts[1]
-            elif key == "@bottom" and len(parts) == 2:
-                bottom = parts[1]
-            elif key == "@alphabet" and len(parts) == 2:
-                alphabet.update(dict.fromkeys(_parse_alphabet(parts[1], lineno)))
-            elif key == "@twoway" and len(parts) == 2 and parts[1] in ("yes", "no"):
-                two_way = parts[1] == "yes"
-            elif key == "@meta" and len(parts) >= 3:
-                meta.append((parts[1], " ".join(parts[2:])))
-            elif key == "@kind":
-                pass  # consumed by multi-format loaders
-            else:
-                raise MachineTextError(f"bad directive {line!r}", lineno)
+        key = parts[0]
+        if key[0] != "@":
+            body.append((lineno, parts))
             continue
-        body.append((lineno, line.split()))
+        if key == "@states":
+            states.extend(parts[1:])
+        elif key == "@final":
+            finals.extend(parts[1:])
+        elif key == "@initial" and len(parts) == 2:
+            initial = parts[1]
+        elif key == "@bottom" and len(parts) == 2:
+            bottom = parts[1]
+        elif key == "@alphabet" and len(parts) == 2:
+            alphabet.update(dict.fromkeys(_parse_alphabet(parts[1], lineno)))
+        elif key == "@twoway" and len(parts) == 2 and parts[1] in ("yes", "no"):
+            two_way = parts[1] == "yes"
+        elif key == "@meta" and len(parts) >= 3:
+            meta.append((parts[1], " ".join(parts[2:])))
+        elif key == "@kind":
+            pass  # consumed by multi-format loaders
+        else:
+            raise MachineTextError(f"bad directive {raw.strip()!r}", lineno)
 
     if initial is None or bottom is None:
         raise MachineTextError("missing @initial or @bottom header", 0)
     mb = MachineBuilder(initial, bottom, finals=finals, two_way=two_way, meta=tuple(meta),
                         states=states, stack_alphabet=[bottom])
+    gamma, delta = mb.stack_alphabet, mb.delta
+    note_state, note_symbol = mb.states.note, gamma.note
 
     # First pass: collect declared stack symbols so push tokens can be split.
     for lineno, toks in body:
@@ -135,28 +136,29 @@ def parse_machine_text(text: str) -> Machine:
             raise MachineTextError(
                 "transition must be: state letter stacksym -> state pushstring dir", lineno
             )
-        mb.stack_alphabet.note(toks[2])
+        note_symbol(toks[2])
 
-    note_state = mb.states.note
     note_state(initial)
     for q in finals:
         note_state(q)
-    for lineno, toks in body:
-        q, letter_tok, z, _, q2, push_tok, direction = toks
-        a = _parse_letter(letter_tok, lineno)
+    letters = {"<": LEFT_MARK, ">": RIGHT_MARK}  # letter tokens already read
+    for lineno, (q, letter_tok, z, _, q2, push_tok, direction) in body:
+        a = letters.get(letter_tok)
+        if a is None:
+            a = letters[letter_tok] = _parse_letter(letter_tok, lineno)
+            if a != LEFT_MARK and a != RIGHT_MARK:  # a quoted marker reads as the marker
+                alphabet.setdefault(a)
         if direction not in _DIRS:
             raise MachineTextError(f"bad direction {direction!r}", lineno)
-        push = _split_push(push_tok, mb.stack_alphabet, lineno)
+        push = _split_push(push_tok, gamma, lineno)
         for sym in push:
-            mb.stack_alphabet.note(sym)
+            note_symbol(sym)
         key = (q, a, z)
-        if key in mb.delta:
+        if key in delta:
             raise MachineTextError(f"duplicate transition for {key!r}", lineno)
-        if a != LEFT_MARK and a != RIGHT_MARK:
-            alphabet.setdefault(a)
         note_state(q)
         note_state(q2)
-        mb.delta[key] = Move(q2, push, direction)
+        delta[key] = Move(q2, push, direction)
 
     mb.input_alphabet = tuple(alphabet)
     return mb.build()
@@ -178,9 +180,11 @@ def render_machine_text(m: Machine) -> str:
     letter_pos = {a: i for i, a in enumerate(m.letters)}
     sym_pos = {z: i for i, z in enumerate(m.stack_alphabet)}
     declared = {m.bottom} | {z for (_, _, z) in m.delta}
-    for (q, a, z), mv in sorted(
-        m.delta.items(), key=lambda kv: (state_pos[kv[0][0]], letter_pos[kv[0][1]], sym_pos[kv[0][2]])
-    ):
-        push = _render_push(mv.push, declared)
-        lines.append(f"{q} {_render_letter(a)} {z} -> {mv.state} {push} {mv.direction}")
+    letter_toks = {a: _render_letter(a) for a in m.letters}
+    delta = m.delta
+    for key in sorted(delta, key=lambda k: (state_pos[k[0]], letter_pos[k[1]], sym_pos[k[2]])):
+        q, a, z = key
+        target, push, direction = delta[key]
+        push_tok = _render_push(push, declared)
+        lines.append(f"{q} {letter_toks[a]} {z} -> {target} {push_tok} {direction}")
     return "\n".join(lines) + "\n"

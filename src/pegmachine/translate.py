@@ -127,54 +127,67 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
     emit(_INITIAL, LEFT_MARK, _BOTTOM, Move(_WORK, (_nt_sym(g.axiom),), RIGHT))
     for name in g.nonterminals:
         for sign in "+-":
+            q = _signed(name, sign)
+            close = Move(q, (), DOWN)
             for a in wild:
-                emit(_signed(name, sign), a, _nt_sym(name), Move(_signed(name, sign), (), DOWN))
+                emit(q, a, _nt_sym(name), close)
     emit(_signed(g.axiom, "+"), RIGHT_MARK, _BOTTOM, Move(_FINAL, (), DOWN))
 
     for name in g.nonterminals:
         body = g.rules[name]
         a_sym = _nt_sym(name)
+        ok, fail = _signed(name, "+"), _signed(name, "-")
+        # (state, top symbol, move) of the rule's letter-independent moves,
+        # emitted for every letter.
+        rows: list[tuple[str, str, Move]]
         if isinstance(body, Sequence):
             b, c = body.left.name, body.right.name
             f1, f2 = mb.stack_alphabet.add(_frame(name, 1)), mb.stack_alphabet.add(_frame(name, 2))
             q2, q2m = mb.states.add(_aux(name, "2")), mb.states.add(_aux(name, "2-"))
-            for a in wild:
-                emit(_WORK, a, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN))
-                emit(_signed(b, "+"), a, f1, Move(_WORK, (_nt_sym(c), f2), DOWN))
-                emit(_signed(b, "-"), a, f1, Move(_signed(name, "-"), (), UP))
-                emit(_signed(c, "+"), a, f2, Move(q2, (), DOWN))
-                emit(q2, a, f1, Move(_signed(name, "+"), (), DOWN))
-                emit(_signed(c, "-"), a, f2, Move(q2m, (), UP))
-                emit(q2m, a, f1, Move(_signed(name, "-"), (), UP))
+            rows = [
+                (_WORK, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
+                (_signed(b, "+"), f1, Move(_WORK, (_nt_sym(c), f2), DOWN)),
+                (_signed(b, "-"), f1, Move(fail, (), UP)),
+                (_signed(c, "+"), f2, Move(q2, (), DOWN)),
+                (q2, f1, Move(ok, (), DOWN)),
+                (_signed(c, "-"), f2, Move(q2m, (), UP)),
+                (q2m, f1, Move(fail, (), UP)),
+            ]
         elif isinstance(body, Choice):
             b, c = body.first.name, body.second.name
             f1, f2 = mb.stack_alphabet.add(_frame(name, 1)), mb.stack_alphabet.add(_frame(name, 2))
             q2 = mb.states.add(_aux(name, "2"))
-            for a in wild:
-                emit(_WORK, a, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN))
-                emit(_signed(b, "+"), a, f1, Move(_signed(name, "+"), (), DOWN))
-                emit(_signed(b, "-"), a, f1, Move(q2, (), UP))
+            rows = [
+                (_WORK, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
+                (_signed(b, "+"), f1, Move(ok, (), DOWN)),
+                (_signed(b, "-"), f1, Move(q2, (), UP)),
                 # After the up pop the rule's own nonterminal is on top again.
-                emit(q2, a, a_sym, Move(_WORK, (_nt_sym(c), f2), DOWN))
-                emit(_signed(c, "+"), a, f2, Move(_signed(name, "+"), (), DOWN))
-                emit(_signed(c, "-"), a, f2, Move(_signed(name, "-"), (), UP))
+                (q2, a_sym, Move(_WORK, (_nt_sym(c), f2), DOWN)),
+                (_signed(c, "+"), f2, Move(ok, (), DOWN)),
+                (_signed(c, "-"), f2, Move(fail, (), UP)),
+            ]
         elif isinstance(body, Not):
             b = body.inner.name
             f1 = mb.stack_alphabet.add(_frame(name, 1))
-            for a in wild:
-                emit(_WORK, a, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN))
-                emit(_signed(b, "+"), a, f1, Move(_signed(name, "-"), (), UP))
-                emit(_signed(b, "-"), a, f1, Move(_signed(name, "+"), (), UP))
+            rows = [
+                (_WORK, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
+                (_signed(b, "+"), f1, Move(fail, (), UP)),
+                (_signed(b, "-"), f1, Move(ok, (), UP)),
+            ]
         elif isinstance(body, Empty):
-            for a in wild:
-                emit(_WORK, a, a_sym, Move(_signed(name, "+"), (), HAT_DOWN))
+            rows = [(_WORK, a_sym, Move(ok, (), HAT_DOWN))]
         elif isinstance(body, Terminal):
-            emit(_WORK, body.symbol, a_sym, Move(_signed(name, "+"), (), HAT_RIGHT))
+            emit(_WORK, body.symbol, a_sym, Move(ok, (), HAT_RIGHT))
+            mismatch = Move(fail, (), HAT_DOWN)
             for a in wild:
                 if a != body.symbol:
-                    emit(_WORK, a, a_sym, Move(_signed(name, "-"), (), HAT_DOWN))
+                    emit(_WORK, a, a_sym, mismatch)
+            continue
         else:  # pragma: no cover - shape checked above
             raise NotCnfError(f"unexpected body {body!r}")
+        for a in wild:
+            for q, z, move in rows:
+                emit(q, a, z, move)
 
     return desugar_hat_moves(mb.build())
 

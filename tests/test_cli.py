@@ -178,6 +178,27 @@ def test_trace_output_format(fig2_file, tmp_path):
         assert row[1] in ("push", "pop")
 
 
+def test_trace_of_a_pushing_loop_streams_its_events(tmp_path, capsys):
+    """A traced run holds one configuration at a time, not every event."""
+    import tracemalloc
+
+    from pegmachine.cli import EXIT_BUDGET, main
+
+    path = tmp_path / "push.mach"
+    path.write_text('@initial q\n@final q\n@bottom Z\n@alphabet "a"\nq < Z -> q Z down\n')
+    tracemalloc.start()
+    try:
+        code = main(["trace", str(path), "a", "--step-limit", "20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_BUDGET
+    assert lines[-1] == "budget" and len(lines) == 20001
+    assert lines[-2] == "19999\tpush\tq\t0\t20001\t-"
+    assert peak < 20 * 2**20, peak
+
+
 def test_step_limit_env_var(fig2_file, tmp_path):
     mach = tmp_path / "m.mach"
     run_cli("compile", fig2_file, "-o", str(mach))
@@ -303,3 +324,12 @@ def test_dpda_alphabet_needs_closing_quote(tmp_path):
     proc = run_cli("check", str(path))
     assert proc.returncode == 2
     assert "@alphabet needs a quoted string" in proc.stderr
+
+
+def test_internal_error_exits_4_without_traceback(tmp_path):
+    path = tmp_path / "long.peg"
+    path.write_text("S <- " + " ".join(['"a"'] * 1000) + "\n")
+    proc = run_cli("run", str(path), "aaa")
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: internal: ") and len(proc.stderr.splitlines()) == 1

@@ -4,6 +4,8 @@ from pegmachine.errors import MachineInvariantError, MachineTextError
 from pegmachine.pppda import (
     Configuration,
     DOWN,
+    HAT_LEFT,
+    HAT_RIGHT,
     Halt,
     LEFT,
     LEFT_MARK,
@@ -96,6 +98,75 @@ def test_one_way_forbids_left_moves():
             finals=(), initial_state="q", bottom="Z",
             delta={("q", "a", "Z"): Move("q", (), LEFT)}, two_way=False,
         )
+
+
+def _machine(delta=None, **parts) -> Machine:
+    """A small valid machine, with ``parts`` replaced and ``delta`` added to δ."""
+    moves = {("q", LEFT_MARK, "Z"): Move("p", ("X",), RIGHT), ("p", "a", "X"): Move("p", (), DOWN)}
+    moves.update(delta or {})
+    fields = dict(
+        states=("q", "p"), input_alphabet=("a",), stack_alphabet=("Z", "X"),
+        finals=("p",), initial_state="q", bottom="Z", delta=moves,
+    )
+    fields.update(parts)
+    return Machine(**fields)
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (dict(states=("q", "p", "q")), "duplicate state name"),
+        (dict(stack_alphabet=("Z", "X", "Z")), "duplicate stack symbol"),
+        (dict(input_alphabet=("a", RIGHT_MARK)), "bad input letter '>'"),
+        (dict(initial_state="r"), "unknown initial state 'r'"),
+        (dict(finals=("p", "r")), "final states must be states"),
+        (dict(bottom="Y"), "bottom symbol 'Y' not in stack alphabet"),
+        (dict(delta={("p", "a", "Z"): Move("r", (), DOWN)}), "delta('p', 'a', 'Z'): unknown state"),
+        (dict(delta={("p", "b", "Z"): Move("p", (), DOWN)}), "delta('p', 'b', 'Z'): unknown letter"),
+        (
+            dict(delta={("p", "a", "Z"): Move("p", ("X", "Y"), DOWN)}),
+            "delta('p', 'a', 'Z'): unknown stack symbol",
+        ),
+        (
+            dict(delta={("p", "a", "Z"): Move("p", (), "sideways")}),
+            "delta('p', 'a', 'Z'): bad direction 'sideways'",
+        ),
+        (
+            dict(delta={("p", "a", "Z"): Move("p", ("X",), UP)}),
+            "delta('p', 'a', 'Z'): an up move must not push",
+        ),
+        (
+            dict(delta={("p", "a", "Z"): Move("p", ("X",), HAT_RIGHT)}),
+            "delta('p', 'a', 'Z'): hat moves carry no push string",
+        ),
+        (
+            dict(delta={("p", LEFT_MARK, "X"): Move("p", (), HAT_LEFT)}, two_way=True),
+            "delta('p', '<', 'X'): cannot move left off the left end marker",
+        ),
+        (
+            dict(delta={("p", RIGHT_MARK, "X"): Move("p", ("X",), RIGHT)}),
+            "delta('p', '>', 'X'): cannot move right off the right end marker",
+        ),
+        (
+            dict(delta={("p", "a", "Z"): Move("p", (), LEFT)}),
+            "delta('p', 'a', 'Z'): left moves need a two-way machine",
+        ),
+    ],
+)
+def test_every_validation_message(parts, message):
+    with pytest.raises(MachineInvariantError) as err:
+        _machine(**parts)
+    assert str(err.value) == message
+
+
+def test_validation_reports_the_first_bad_transition():
+    bad = {("p", "a", "Z"): Move("p", (), LEFT), ("s", "a", "X"): Move("p", (), DOWN)}
+    with pytest.raises(MachineInvariantError) as err:
+        _machine(bad)
+    assert str(err.value) == "delta('p', 'a', 'Z'): left moves need a two-way machine"
+    with pytest.raises(MachineInvariantError) as err:
+        _machine(bad, two_way=True)
+    assert str(err.value) == "delta('s', 'a', 'X'): unknown state"
 
 
 # --- stepping, against the worked run ----------------------------------------

@@ -7,12 +7,14 @@ machines add left moves, which revisit cells with other stacks.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from pegmachine.cooksim import run_linear
 from pegmachine.pppda import (
     DOWN,
+    Halt,
     LEFT,
     LEFT_MARK,
     Machine,
@@ -21,8 +23,10 @@ from pegmachine.pppda import (
     RIGHT_MARK,
     UP,
     check_normal,
+    initial_configuration,
     normalize,
     run_direct,
+    step,
 )
 
 from conftest import all_words
@@ -98,6 +102,33 @@ def random_two_way_machine(rng: random.Random) -> Machine:
         delta=delta,
         two_way=True,
     )
+
+
+def stepped_run(m: Machine, word: str, limit: int) -> tuple:
+    """(outcome, reason, steps, final) of iterating ``step`` from the start."""
+    c = initial_configuration(m)
+    steps = 0
+    while not isinstance(after := step(m, c, word), Halt):
+        if steps == limit:
+            return "budget", None, steps, c
+        c, steps = after, steps + 1
+    final, at_end = c.state in m.finals, c.head == len(word) + 1
+    if c.stack:
+        reason = "stack-not-empty" if final and at_end else "no-transition"
+    else:
+        reason = None if final and at_end else "not-at-right-end" if final else "non-final-halt"
+    return "reject" if reason else "accept", reason, steps, c
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("make", [random_machine, random_two_way_machine])
+def test_direct_engine_matches_stepping(make, seed):
+    m = make(random.Random(3000 + seed))
+    for word in all_words(SIGMA, 5):
+        run = run_direct(m, word, step_limit=300)
+        assert (run.outcome, run.reason, run.steps, run.final) == stepped_run(m, word, 300), word
+        traced = run_direct(m, word, step_limit=300, collect_trace=True)
+        assert replace(traced, trace=()) == run and len(traced.trace) == run.steps, word
 
 
 @pytest.mark.parametrize("seed", range(40))
