@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: check, desugar, cnf, normalize, compile, extract, run, trace,
-bench, fuzz, compose.  Exit codes: 0 accept/success, 1 reject/ill-formed,
-2 invalid input, 3 budget exhausted, 4 internal divergence or an
-internal error.  The environment variable ``PEGMACHINE_STEP_LIMIT``
-overrides the direct engine's default step limit.
+bench, fuzz, compose; ``pegmachine <command> -h`` lists a command's
+options.  Exit codes: 0 accept/success, 1 reject/ill-formed, 2 invalid
+input (a bad option value included), 3 budget exhausted, 4 internal
+divergence or an internal error.  The environment variable
+``PEGMACHINE_STEP_LIMIT`` overrides the direct engine's default step limit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import itertools
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .closures import (
@@ -28,8 +30,9 @@ from .closures import (
 )
 from .cooksim import run_linear, work_bound
 from .errors import ToolkitError
+from .fuzz import ALPHABET as FUZZ_ALPHABET
 from .fuzz import FuzzConfig, run_fuzz
-from .peg.ast import Consumed, Grammar, render_grammar_text
+from .peg.ast import DIVERGED, Consumed, Grammar, render_grammar_text
 from .peg.interpret import DEFAULT_BUDGET, interpret_naive, interpret_packrat
 from .peg.parser import parse_grammar_text
 from .peg.transform import desugar, to_cnf
@@ -122,7 +125,12 @@ def _step_limit(args) -> int | None:
     if args.step_limit is not None:
         return args.step_limit
     env = os.environ.get("PEGMACHINE_STEP_LIMIT")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return _NON_NEGATIVE(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _Invalid(f"PEGMACHINE_STEP_LIMIT: {exc}") from None
 
 
 # --- commands ------------------------------------------------------------------
@@ -146,19 +154,22 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    engine = args.engine
+    if args.trace and engine not in (None, "direct"):
+        raise _Invalid("--trace needs the direct engine")
     obj = _load_any(args.path)
     word = _word_from(args)
-    engine = args.engine
     stats: dict[str, object] = {}
 
     if isinstance(obj, Grammar):
         _check_word(word, obj.alphabet)
-        if engine in (None, "packrat", "naive"):
+        # A traced grammar is compiled, since only the direct engine traces.
+        if not args.trace and engine in (None, "packrat", "naive"):
             core = desugar(obj)
             if engine == "naive":
                 budget = args.budget if args.budget is not None else DEFAULT_BUDGET
                 outcome = interpret_naive(core, core.rules[core.axiom], word, 0, budget)
-                if outcome.__class__.__name__ == "Diverged":
+                if outcome is DIVERGED:
                     print("budget")
                     return EXIT_BUDGET
                 accepted = outcome == Consumed(len(word))
@@ -265,11 +276,10 @@ def cmd_bench(args) -> int:
     if not isinstance(m, Machine):
         raise _Invalid("bench needs a machine file")
     m = desugar_hat_moves(m)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     blocks = list(args.family)
     rows = []
     print("n\tcook.ops\tdirect.steps")
-    for n in sizes:
+    for n in args.sizes:
         word = "".join(ch * n for ch in blocks)
         lin = run_linear(m, word)
         direct = run_direct(m, word, step_limit=_step_limit(args))
@@ -281,7 +291,7 @@ def cmd_bench(args) -> int:
             return EXIT_DIVERGENCE
     if args.assert_linear:
         by_n = {n: ops for n, ops, _ in rows}
-        for n in sizes:
+        for n in args.sizes:
             if 2 * n in by_n:
                 ratio = by_n[2 * n] / by_n[n] if by_n[n] else float("inf")
                 print(f"ratio {2*n}/{n} = {ratio:.3f}")
@@ -361,58 +371,79 @@ def _require_grammar(path: str) -> Grammar:
 # --- argument parsing ------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="pegmachine", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type`` for integers from ``low`` to ``high`` (no upper bound if None)."""
 
-    p = sub.add_parser("check", help="validate a file; well-formedness for grammars")
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {value}")
+        return value
+
+    return convert
+
+
+_NON_NEGATIVE = _int_in(0)
+
+
+def _sizes(text: str) -> list[int]:
+    sizes = [_NON_NEGATIVE(s) for s in text.split(",") if s]
+    if not sizes:
+        raise argparse.ArgumentTypeError("needs at least one size")
+    return sizes
+
+
+def _add_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.set_defaults(fn=cmd_check)
 
-    for name, fn in (
-        ("desugar", cmd_desugar),
-        ("cnf", cmd_cnf),
-        ("normalize", cmd_normalize),
-        ("compile", cmd_compile),
-        ("extract", cmd_extract),
-    ):
-        p = sub.add_parser(name, help=f"{name} and print/write the result")
-        p.add_argument("path")
-        p.add_argument("-o", "--output", default=None)
-        p.set_defaults(fn=fn)
 
-    for name, help_, trace in (
-        ("run", "run a word against a grammar or machine", False),
-        ("trace", "run with a move-by-move trace", True),
-    ):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("path")
-        p.add_argument("word", nargs="?", default=None, metavar="WORD")
-        p.add_argument("--input-file", default=None)
-        p.add_argument("--engine", choices=["naive", "packrat", "direct", "cook"])
-        p.add_argument("--trace", action="store_true")
-        p.add_argument("--stats", action="store_true")
-        p.add_argument("--step-limit", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.set_defaults(fn=cmd_run, force_trace=trace)
+def _add_path_output(p: argparse.ArgumentParser, fn) -> None:
+    p.add_argument("path")
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(fn=fn)
 
-    p = sub.add_parser("bench", help="table of engine costs over a word family")
+
+def _add_run(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path")
+    p.add_argument("word", nargs="?", default=None, metavar="WORD")
+    p.add_argument("--input-file", default=None)
+    p.add_argument("--engine", choices=["naive", "packrat", "direct", "cook"])
+    p.add_argument("--trace", action="store_true")
+    p.add_argument("--stats", action="store_true")
+    p.add_argument("--step-limit", type=_NON_NEGATIVE, default=None)
+    p.add_argument("--budget", type=_NON_NEGATIVE, default=None)
+    p.set_defaults(fn=cmd_run)
+
+
+def _add_trace(p: argparse.ArgumentParser) -> None:
+    _add_run(p)
+    p.set_defaults(trace=True)
+
+
+def _add_bench(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--family", required=True, help="letters; each is repeated n times")
-    p.add_argument("--sizes", required=True, help="comma-separated n values")
+    p.add_argument("--sizes", required=True, type=_sizes, help="comma-separated n values")
     p.add_argument("--assert-linear", action="store_true")
-    p.add_argument("--step-limit", type=int, default=None)
+    p.add_argument("--step-limit", type=_NON_NEGATIVE, default=None)
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("fuzz", help="differential test of all engines")
+
+def _add_fuzz(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--max-nonterminals", type=int, default=4)
-    p.add_argument("--alphabet-size", type=int, default=2)
-    p.add_argument("--max-word-len", type=int, default=8)
+    p.add_argument("--cases", type=_NON_NEGATIVE, default=200)
+    p.add_argument("--max-nonterminals", type=_int_in(1), default=4)
+    p.add_argument("--alphabet-size", type=_int_in(1, len(FUZZ_ALPHABET)), default=2)
+    p.add_argument("--max-word-len", type=_NON_NEGATIVE, default=8)
     p.set_defaults(fn=cmd_fuzz)
 
-    p = sub.add_parser("compose", help="closure constructions")
+
+def _add_compose(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "operation",
         choices=["complement", "union", "intersect", "concat-dcfl", "reg-closure"],
@@ -421,13 +452,55 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_compose)
 
+
+# Each command's help line and the function that adds its arguments, in the
+# order the top-level help lists them.
+COMMANDS = {
+    "check": ("validate a file; well-formedness for grammars", _add_check),
+    "desugar": ("desugar and print/write the result", partial(_add_path_output, fn=cmd_desugar)),
+    "cnf": ("cnf and print/write the result", partial(_add_path_output, fn=cmd_cnf)),
+    "normalize": (
+        "normalize and print/write the result",
+        partial(_add_path_output, fn=cmd_normalize),
+    ),
+    "compile": ("compile and print/write the result", partial(_add_path_output, fn=cmd_compile)),
+    "extract": ("extract and print/write the result", partial(_add_path_output, fn=cmd_extract)),
+    "run": ("run a word against a grammar or machine", _add_run),
+    "trace": ("run with a move-by-move trace", _add_trace),
+    "bench": ("table of engine costs over a word family", _add_bench),
+    "fuzz": ("differential test of all engines", _add_fuzz),
+    "compose": ("closure constructions", _add_compose),
+}
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="pegmachine", description=__doc__)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_))
     return top
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone; the full parser otherwise.
+
+    The full parser, which lists every command in its usage line, is built
+    only for top-level help, a missing or unknown command and unrecognized
+    arguments.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return _top_parser().parse_args(argv)
+    _, add_arguments = COMMANDS[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"pegmachine {argv[0]}")
+    add_arguments(parser)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        _top_parser().parse_args(argv)  # exits with the top-level usage error
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if getattr(args, "force_trace", False):
-        args.trace = True
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except _Invalid as exc:

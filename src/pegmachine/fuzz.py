@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .cooksim import run_linear
 from .peg.ast import (
+    DIVERGED,
     Choice,
     Consumed,
     Empty,
@@ -67,12 +68,13 @@ class FuzzReport:
         return self.divergence is None
 
 
-_ALPHABET = "abcdefgh"
+# ``alphabet_size`` takes a prefix of these letters.
+ALPHABET = "abcdefgh"
 
 
 def random_cnf_grammar(rng: random.Random, max_nonterminals: int, alphabet_size: int) -> Grammar:
     """A random well-formed grammar in the normal-form shapes."""
-    sigma = _ALPHABET[:alphabet_size]
+    sigma = ALPHABET[:alphabet_size]
     for _ in range(1000):
         count = rng.randint(1, max_nonterminals)
         names = [f"A{i}" for i in range(count)]
@@ -108,7 +110,7 @@ def random_general_grammar(
     from .peg.ast import And, AnyChar, Option, Plus, Star
     from .peg.transform import desugar
 
-    sigma = _ALPHABET[:alphabet_size]
+    sigma = ALPHABET[:alphabet_size]
 
     def expr(depth: int, names: list[str]) -> Expression:
         leaves = ["terminal", "terminal", "empty", "any", "nt"]
@@ -168,7 +170,7 @@ def _engine_verdicts(g: Grammar, words: list[str], budget: int) -> dict[str, dic
         r = interpret_naive(g, g.rules[g.axiom], w, 0, budget)
         if r == Consumed(len(w)):
             return "accept"
-        return "diverged" if r.__class__.__name__ == "Diverged" else "reject"
+        return "diverged" if r is DIVERGED else "reject"
 
     def packrat(w: str) -> str:
         return "accept" if interpret_packrat(g, w) == Consumed(len(w)) else "reject"

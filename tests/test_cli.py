@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIG2_TEXT, dfa_pairs, dpda_anbn, dpda_cmd, dpda_single
+from pegmachine import cli
 from pegmachine.closures import render_dfa_text, render_dpda_text
 from pegmachine.pppda import builtin_sweep, render_machine_text
 
@@ -333,3 +335,114 @@ def test_internal_error_exits_4_without_traceback(tmp_path):
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: internal: ") and len(proc.stderr.splitlines()) == 1
+
+
+# --- in-process: argument parsing ----------------------------------------------
+
+
+def exit_code(argv):
+    """``cli.main``'s exit code, whether returned or raised by argparse."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_one_command_builds_one_parser(fig2_file, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["check", fig2_file]) == 0
+    assert built == ["pegmachine check"]
+    assert capsys.readouterr().out.startswith("well-formed")
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_command_help_is_the_full_parsers(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "-h"])
+    assert exc.value.code == 0
+    routed = capsys.readouterr().out
+    assert routed.startswith(f"usage: pegmachine {name} [-h]")
+    with pytest.raises(SystemExit):
+        cli._top_parser().parse_args([name, "-h"])
+    assert capsys.readouterr().out == routed
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        ([], "pegmachine: error: the following arguments are required: command"),
+        (["bogus"], "pegmachine: error: argument command: invalid choice: 'bogus'"),
+        (["check"], "pegmachine check: error: the following arguments are required: path"),
+        (["check", "{p}", "--seed", "1"], "pegmachine: error: unrecognized arguments: --seed 1"),
+    ],
+)
+def test_usage_errors_exit_2(argv, last_line, fig2_file, capsys):
+    assert exit_code([a.replace("{p}", fig2_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pegmachine")
+    assert captured.err.splitlines()[-1].startswith(last_line)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--alphabet-size", "0"],
+        ["fuzz", "--alphabet-size", "40"],
+        ["fuzz", "--max-nonterminals", "0"],
+        ["fuzz", "--max-word-len", "-1"],
+        ["fuzz", "--cases", "-3"],
+        ["bench", "{m}", "--family", "abc", "--sizes", "1,x"],
+        ["bench", "{m}", "--family", "abc", "--sizes", ",,"],
+        ["bench", "{m}", "--family", "abc", "--sizes", "-2"],
+        ["run", "{m}", "abc", "--step-limit", "-5"],
+        ["run", "{g}", "aab", "--engine", "naive", "--budget", "-1"],
+        ["PEGMACHINE_STEP_LIMIT=abc", "run", "{m}", "abc"],
+        ["PEGMACHINE_STEP_LIMIT=-5", "run", "{m}", "abc"],
+    ],
+)
+def test_bad_option_values_exit_2(argv, fig2_file, tmp_path, monkeypatch, capsys):
+    mach = tmp_path / "anbncn.mach"
+    mach.write_text(ANBNCN_SOURCE)
+    if "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("="))
+    argv = [a.replace("{m}", str(mach)).replace("{g}", fig2_file) for a in argv]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal" not in err
+    assert err.startswith("usage: ") or err.startswith("error: PEGMACHINE_STEP_LIMIT: ")
+
+
+def test_trace_of_a_grammar_compiles_it(fig2_file, capsys):
+    assert cli.main(["trace", fig2_file, "aab"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "accept"
+    assert len(lines) > 1 and all(len(ln.split("\t")) == 6 for ln in lines[:-1])
+    assert cli.main(["run", fig2_file, "aab", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "{g}", "aab", "--engine", "packrat"],
+        ["trace", "{g}", "aab", "--engine", "naive"],
+        ["trace", "{m}", "abc", "--engine", "cook"],
+        ["run", "{m}", "abc", "--trace", "--engine", "cook"],
+    ],
+)
+def test_trace_needs_the_direct_engine(argv, fig2_file, tmp_path, capsys):
+    mach = tmp_path / "anbncn.mach"
+    mach.write_text(ANBNCN_SOURCE)
+    argv = [a.replace("{m}", str(mach)).replace("{g}", fig2_file) for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trace needs the direct engine\n"
