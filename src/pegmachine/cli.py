@@ -108,10 +108,10 @@ def _word_from(args) -> str:
     return args.word
 
 
-def _check_word(word: str, alphabet) -> None:
+def _check_word(word: str, alphabet, what: str = "word") -> None:
     bad = sorted(set(word) - set(alphabet))
     if bad:
-        raise _Invalid(f"word contains letters outside the alphabet: {bad}")
+        raise _Invalid(f"{what} contains letters outside the alphabet: {bad}")
 
 
 def _write_out(args, text: str) -> None:
@@ -275,6 +275,9 @@ def cmd_bench(args) -> int:
     m = _load_any(args.path)
     if not isinstance(m, Machine):
         raise _Invalid("bench needs a machine file")
+    if not args.family:
+        raise _Invalid("--family needs at least one letter")
+    _check_word(args.family, m.input_alphabet, "--family")
     m = desugar_hat_moves(m)
     blocks = list(args.family)
     rows = []

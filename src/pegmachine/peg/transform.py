@@ -3,7 +3,10 @@
 Fresh nonterminals introduced by the rewrites are named ``#k`` where ``k``
 is the node id of the originating node in the input grammar, so output is
 deterministic and golden-testable.  ``#`` is not a legal character in
-user-written names, which makes collisions impossible.
+user-written names, which makes collisions impossible.  The normal-form
+conversion shares one fresh rule among equal subexpressions: that rule
+takes the node id of the first occurrence in rule order, and lifted
+empties all reuse the ``#u <- ""`` rule.
 """
 
 from __future__ import annotations
@@ -91,25 +94,37 @@ def to_cnf(g: Grammar) -> CnfGrammar:
     into fresh rules, unit rules ``A <- B`` are padded to ``A <- B #u`` with
     ``#u <- ""``, and a fresh axiom wrapping the old one is added whenever
     the old axiom occurs on a right-hand side.  Acceptance is preserved.
+
+    Lifting works bottom-up and is hash-consed on the converted body, so
+    equal subexpressions share one rule ``#c<nid>``, named after the first
+    occurrence in rule order; a lifted empty is ``#u`` itself.  Sharing is
+    sound because equal bodies over the same nonterminals have the same
+    outcome, and it cannot create left recursion because a shared rule has
+    the same successors as each occurrence it replaces.
     """
     if not g.is_core:
         raise NotCoreError("to_cnf needs a core-only grammar; desugar first")
     require_well_formed(g)
 
     fresh: list[tuple[str, Expression]] = []
-    fresh_names: set[str] = set()
+    shared: dict[Expression, str] = {}
     needs_eps = False
 
     def lift(e: Expression) -> Nonterminal:
         """Name the subexpression ``e`` so it can sit inside a binary body."""
+        nonlocal needs_eps
         if isinstance(e, Nonterminal):
             return Nonterminal(e.name)
-        # "#c" keeps these names disjoint from desugar's "#k" rules, which may
-        # survive in the input grammar.
-        name = f"#c{e.nid}"
-        if name not in fresh_names:
-            fresh_names.add(name)
-            fresh.append((name, convert(e)))
+        body = convert(e)
+        if isinstance(body, Empty):
+            needs_eps = True
+            return Nonterminal(_EPS_NT)
+        name = shared.get(body)
+        if name is None:
+            # "#c" keeps these names disjoint from desugar's "#k" rules,
+            # which may survive in the input grammar.
+            name = shared[body] = f"#c{e.nid}"
+            fresh.append((name, body))
         return Nonterminal(name)
 
     def convert(e: Expression) -> Expression:

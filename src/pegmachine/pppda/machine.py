@@ -90,6 +90,34 @@ class Machine:
     def has_hat_moves(self) -> bool:
         return not _HATS.isdisjoint(map(_direction_of, self.delta.values()))
 
+    @cached_property
+    def normal_form_defect(self) -> str | None:
+        """Why the machine breaks the structural normal form, or None.
+
+        This is the check behind :func:`pegmachine.pppda.check_normal`,
+        which :func:`pegmachine.pppda.normalize` and grammar extraction
+        both run; caching it walks δ once per machine.
+        """
+        if self.two_way:
+            return "machine is two-way"
+        if self.has_hat_moves:
+            return "machine has hat moves"
+        if sum(1 for k in self.delta if k[1] == LEFT_MARK) > 1:
+            return "left end marker is consulted beyond the initial skip"
+        bottom = self.bottom
+        for key, (_, push, direction) in self.delta.items():
+            if push:
+                if len(push) > 1:
+                    return f"push at {key!r} adds {len(push)} symbols"
+                if bottom in push:
+                    return "bottom marker occurs in a push string"
+            elif direction != DOWN:
+                if direction != UP:
+                    return f"pop at {key!r} moves {direction}"
+                if key[2] == bottom:
+                    return "bottom marker must be popped down"
+        return None
+
 
 def validate_machine(m: Machine) -> None:
     """Raise :class:`MachineInvariantError` unless ``m`` is a well-formed machine.

@@ -40,29 +40,35 @@ from .machine import (
 def desugar_hat_moves(m: Machine) -> Machine:
     """Expand each hat move into a fresh push plus letter-independent pops.
 
-    A hat move in direction ``d`` pushes a fresh symbol while moving ``d``,
-    then pops it ``down`` whatever the letter, landing in the target state
-    with the stack as it was.
+    A hat move in direction ``d`` to state ``p`` pushes a fresh symbol while
+    moving ``d``, then pops it ``down`` whatever the letter, landing in
+    ``p`` with the stack as it was.  That pop depends on neither the letter
+    nor the symbol underneath, so the expansion is shared: one fresh state
+    and one fresh symbol per (target, direction), whatever the source.
     """
     if not m.has_hat_moves:
         return m
     mb = MachineBuilder.like(m)
     emit = mb.emit
     wild = _wild(m)
+    expansions: dict[tuple[str, str], Move] = {}
     for (q, a, z), mv in m.delta.items():
         target, _, direction = mv
         if direction not in HAT_DIRECTIONS:
             emit(q, a, z, mv)
             continue
-        core = _HAT_CORE[direction]
-        sym = mb.stack_alphabet.fresh(f"hat:{q}:{a}:{z}")
-        mid = mb.states.fresh(f"hats:{q}:{a}:{z}")
-        emit(q, a, z, Move(mid, (sym,), core))
-        pop = Move(target, (), DOWN)
-        for sigma in wild:
-            emit(mid, sigma, sym, pop)
-        if core != RIGHT:  # a hatdown/hatleft may pop on the marker
-            emit(mid, LEFT_MARK, sym, pop)
+        push = expansions.get((target, direction))
+        if push is None:
+            core = _HAT_CORE[direction]
+            sym = mb.stack_alphabet.fresh(f"hat:{target}:{direction}")
+            mid = mb.states.fresh(f"hats:{target}:{direction}")
+            push = expansions[target, direction] = Move(mid, (sym,), core)
+            pop = Move(target, (), DOWN)
+            for sigma in wild:
+                emit(mid, sigma, sym, pop)
+            if core != RIGHT:  # a hatdown/hatleft may pop on the marker
+                emit(mid, LEFT_MARK, sym, pop)
+        emit(q, a, z, push)
     return mb.build()
 
 
@@ -275,23 +281,11 @@ def _begin_move(mv: Move, tagged: bool) -> Move:
 
 
 def check_normal(m: Machine) -> None:
-    """Raise unless all five normal-form properties hold structurally."""
-    if m.two_way:
-        raise NotNormalError("machine is two-way")
-    if m.has_hat_moves:
-        raise NotNormalError("machine has hat moves")
-    left_entries = [k for k in m.delta if k[1] == LEFT_MARK]
-    if len(left_entries) > 1:
-        raise NotNormalError("left end marker is consulted beyond the initial skip")
-    bottom = m.bottom
-    for key, (_, push, direction) in m.delta.items():
-        if push:
-            if len(push) > 1:
-                raise NotNormalError(f"push at {key!r} adds {len(push)} symbols")
-            if bottom in push:
-                raise NotNormalError("bottom marker occurs in a push string")
-        elif direction != DOWN:
-            if direction != UP:
-                raise NotNormalError(f"pop at {key!r} moves {direction}")
-            if key[2] == bottom:
-                raise NotNormalError("bottom marker must be popped down")
+    """Raise unless all five normal-form properties hold structurally.
+
+    The verdict is cached on the machine (:attr:`Machine.normal_form_defect`),
+    so checking the same machine again costs nothing.
+    """
+    defect = m.normal_form_defect
+    if defect is not None:
+        raise NotNormalError(defect)

@@ -402,6 +402,8 @@ def test_usage_errors_exit_2(argv, last_line, fig2_file, capsys):
         ["bench", "{m}", "--family", "abc", "--sizes", "1,x"],
         ["bench", "{m}", "--family", "abc", "--sizes", ",,"],
         ["bench", "{m}", "--family", "abc", "--sizes", "-2"],
+        ["bench", "{m}", "--family", "z", "--sizes", "5"],
+        ["bench", "{m}", "--family", "", "--sizes", "5,10", "--assert-linear"],
         ["run", "{m}", "abc", "--step-limit", "-5"],
         ["run", "{g}", "aab", "--engine", "naive", "--budget", "-1"],
         ["PEGMACHINE_STEP_LIMIT=abc", "run", "{m}", "abc"],
@@ -417,7 +419,10 @@ def test_bad_option_values_exit_2(argv, fig2_file, tmp_path, monkeypatch, capsys
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "internal" not in err
-    assert err.startswith("usage: ") or err.startswith("error: PEGMACHINE_STEP_LIMIT: ")
+    assert err.startswith("usage: ") or (
+        err.startswith(("error: PEGMACHINE_STEP_LIMIT: ", "error: --family "))
+        and len(err.splitlines()) == 1
+    )
 
 
 def test_trace_of_a_grammar_compiles_it(fig2_file, capsys):

@@ -3,6 +3,9 @@ import pytest
 from pegmachine.errors import NotNormalError
 from pegmachine.pppda import (
     DOWN,
+    HAT_DIRECTIONS,
+    HAT_DOWN,
+    HAT_RIGHT,
     LEFT_MARK,
     Machine,
     Move,
@@ -44,6 +47,48 @@ def test_hat_desugar_preserves_language():
     # Spot equivalence against a hand-built hat-free variant is covered by
     # the oracle test in test_builtin_anbncn; here check determinism of size.
     assert len(md.delta) > len(m.delta)
+
+
+def _machine_many_hats() -> Machine:
+    # Five hat moves with three distinct (target, direction) pairs; accepts
+    # every word over "ab".
+    return Machine(
+        states=("q", "p", "f"),
+        input_alphabet=("a", "b"),
+        stack_alphabet=("Z", "X"),
+        finals=("f",),
+        initial_state="q",
+        bottom="Z",
+        delta={
+            ("q", LEFT_MARK, "Z"): Move("q", ("X",), RIGHT),
+            ("q", "a", "X"): Move("p", (), HAT_RIGHT),
+            ("q", "b", "X"): Move("p", (), HAT_RIGHT),
+            ("p", "a", "X"): Move("p", (), HAT_RIGHT),
+            ("p", "b", "X"): Move("q", (), HAT_DOWN),
+            ("q", RIGHT_MARK, "X"): Move("p", (), HAT_DOWN),
+            ("p", RIGHT_MARK, "X"): Move("f", (), DOWN),
+            ("f", RIGHT_MARK, "Z"): Move("f", (), DOWN),
+        },
+    )
+
+
+@pytest.mark.parametrize("factory", [builtin_anbncn, _machine_many_hats])
+def test_hat_desugar_shares_expansion_per_target_and_direction(factory):
+    m = factory()
+    hats = {(mv.state, mv.direction) for mv in m.delta.values() if mv.direction in HAT_DIRECTIONS}
+    md = desugar_hat_moves(m)
+    assert len(md.states) - len(m.states) <= len(hats)
+    assert len(md.stack_alphabet) - len(m.stack_alphabet) <= len(hats)
+    expansions = {}
+    for key, mv in m.delta.items():
+        if mv.direction in HAT_DIRECTIONS:
+            assert expansions.setdefault((mv.state, mv.direction), md.delta[key]) == md.delta[key]
+
+
+def test_hat_desugar_shared_expansion_preserves_language():
+    md = desugar_hat_moves(_machine_many_hats())
+    for word in all_words("ab", 6):
+        assert run_direct(md, word).outcome == "accept", word
 
 
 def _machine_pop_right() -> Machine:

@@ -142,6 +142,42 @@ def test_to_cnf_equivalence_fig2(fig2):
         assert accepts(fig2, word) == accepts(cnf, word), word
 
 
+SHARED_TEXT = """\
+@alphabet "ab"
+S <- "a" A "a" / "b" A / "a" A "a"
+A <- !"a" "" "b" / "a" "" A
+"""
+
+
+def test_to_cnf_one_rule_per_distinct_body():
+    # Repeated terminals, a repeated composite ("a" A "a") and empties inside
+    # bodies: each distinct body gets one rule, named after the node id of
+    # its first occurrence, and every lifted empty is #u.
+    g = parse_grammar_text(SHARED_TEXT)
+    cnf = to_cnf(g)
+    assert render_grammar_text(cnf) == (
+        '@start S\n@alphabet "ab"\n'
+        "S <- `#c1` / `#c6`\n"
+        "A <- `#c16` / `#c22`\n"
+        '`#c2` <- "a"\n'
+        "`#c3` <- A `#c2`\n"
+        "`#c1` <- `#c2` `#c3`\n"
+        '`#c8` <- "b"\n'
+        "`#c7` <- `#c8` A\n"
+        "`#c6` <- `#c7` / `#c1`\n"
+        "`#c17` <- !`#c2`\n"
+        "`#c19` <- `#u` `#c8`\n"
+        "`#c16` <- `#c17` `#c19`\n"
+        "`#c24` <- `#u` A\n"
+        "`#c22` <- `#c2` `#c24`\n"
+        '`#u` <- ""\n'
+    )
+    bodies = [cnf.rules[n] for n in cnf.nonterminals]
+    assert len(set(bodies)) == len(bodies)
+    for word in all_words("ab", 7):
+        assert accepts(g, word) == accepts(cnf, word), word
+
+
 # --- acceptance-mode conversion ---------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pegmachine.cooksim import run_linear
 from pegmachine.errors import NotCnfError, NotNormalError
 from pegmachine.peg import (
     Consumed,
@@ -14,7 +15,18 @@ from pegmachine.peg import (
     parse_grammar_text,
     to_cnf,
 )
-from pegmachine.pppda import builtin_anbncn, desugar_hat_moves, normalize, run_direct
+from pegmachine.pppda import (
+    DOWN,
+    LEFT_MARK,
+    RIGHT,
+    RIGHT_MARK,
+    Machine,
+    Move,
+    builtin_anbncn,
+    desugar_hat_moves,
+    normalize,
+    run_direct,
+)
 from pegmachine.translate import (
     dppda_to_peg,
     grammar_to_machine,
@@ -99,6 +111,33 @@ def test_invariant_signed_states_report_parse_outcomes(fig2):
 def test_extract_requires_normal_form():
     with pytest.raises(NotNormalError):
         dppda_to_peg(desugar_hat_moves(builtin_anbncn()))
+
+
+def test_extract_checks_machines_passed_straight_in():
+    # A machine with a two-symbol push is hat-free and one-way but not normal.
+    m = Machine(
+        states=("q", "f"),
+        input_alphabet=("a",),
+        stack_alphabet=("Z", "X", "Y"),
+        finals=("f",),
+        initial_state="q",
+        bottom="Z",
+        delta={
+            ("q", LEFT_MARK, "Z"): Move("q", ("X", "Y"), RIGHT),
+            ("f", RIGHT_MARK, "Z"): Move("f", (), DOWN),
+        },
+    )
+    with pytest.raises(NotNormalError, match="adds 2 symbols"):
+        dppda_to_peg(m)
+    with pytest.raises(NotNormalError, match="adds 2 symbols"):  # from the cached verdict
+        dppda_to_peg(m)
+
+
+def test_normal_form_verdict_is_cached():
+    norm = normalize(desugar_hat_moves(builtin_anbncn()))
+    assert norm.__dict__["normal_form_defect"] is None  # set by normalize's check
+    dppda_to_peg(norm)
+    assert builtin_anbncn().normal_form_defect == "machine has hat moves"
 
 
 def test_extract_anbncn_agrees_with_machine():
@@ -213,6 +252,18 @@ def test_roundtrip_fig2(fig2):
 def test_roundtrip_epsilon():
     report = roundtrip_check(to_cnf(parse_grammar_text('@alphabet "a"\nS <- ""')), all_words("a", 4))
     assert report.ok
+
+
+def test_sec13_abc_engine_counts_do_not_grow(sec13_abc):
+    # Sharing normal-form rules and hat expansions shrinks the machine but
+    # must not lengthen a run: the direct engine takes exactly as many steps
+    # as on the unshared machine (14 773), and cook no more ops (41 337).
+    m = grammar_to_machine(sec13_abc)
+    word = "a" * 300 + "b" * 300 + "c" * 300
+    run = run_direct(m, word)
+    assert run.outcome == "accept" and run.steps == 14_773
+    lin = run_linear(m, word)
+    assert lin.outcome == "accept" and lin.ops <= 41_337
 
 
 def test_roundtrip_sec13_abc(sec13_abc):
