@@ -203,7 +203,7 @@ def cmd_run(args) -> int:
     else:
         run = run_direct(machine, word, step_limit=_step_limit(args))
     stats["direct.steps"] = run.steps
-    print(run.outcome if run.outcome != "budget" else "budget")
+    print(run.outcome)
     _emit_stats(args, stats)
     if run.outcome == "budget":
         return EXIT_BUDGET

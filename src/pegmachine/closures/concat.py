@@ -81,7 +81,6 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
     ok_state = y.meta_value(META_OK_STATE)
     fail_state = y.meta_value(META_FAIL_STATE)
 
-    wild = list(y.input_alphabet) + [RIGHT_MARK]
     x_syms = [_xsym(z) for z in x.stack_alphabet]
     mb = MachineBuilder(
         _INIT,
@@ -116,19 +115,19 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
     for (q, a, z), (q2, push) in x.delta.items():
         mb.dpda_move(
             _go(q), a, _xsym(z), target(q2), tuple(_xsym(s) for s in push),
-            replace=f"xr:{q2}:" + ",".join(push), below=x_syms + [_BOTTOM], wild=wild,
+            replace=f"xr:{q2}:" + ",".join(push), below=x_syms + [_BOTTOM],
         )
 
     # Suspension: push the checkpoint, then the grammar axiom, and parse.
     for q in x.finals:
-        for sigma_ in wild:
-            for t in x_syms + [_BOTTOM]:
-                emit(_try(q), sigma_, t, Move(work, (axiom_sym, _cp(q)), DOWN))
-        # Resume (suffix rejected): head returns to the suspension cell.
-        for sigma_ in wild:
-            emit(fail_state, sigma_, _cp(q), Move(_go(q), (), UP))
-            if sigma_ != RIGHT_MARK:
-                emit(ok_state, sigma_, _cp(q), Move(_go(q), (), UP))
+        for t in x_syms + [_BOTTOM]:
+            mb.emit_any(_try(q), t, Move(work, (axiom_sym, _cp(q)), DOWN))
+        # Resume (suffix rejected, or parsed short of the end): head returns
+        # to the suspension cell.
+        resume = Move(_go(q), (), UP)
+        mb.emit_any(fail_state, _cp(q), resume)
+        for a in y.input_alphabet:
+            emit(ok_state, a, _cp(q), resume)
         # Suffix parsed to the end: drain and accept.
         emit(ok_state, RIGHT_MARK, _cp(q), Move(_DRAIN, (), DOWN))
     for z in mb.stack_alphabet:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ..errors import MachineInvariantError, MachineTextError
+from ..pppda.machine import Names
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,10 @@ class LabeledDfa:
 
     def __post_init__(self) -> None:
         states = set(self.states)
+        if len(states) != len(self.states) or len(set(self.finals)) != len(self.finals):
+            raise MachineInvariantError("repeated state name in DFA description")
+        if len(set(self.labels)) != len(self.labels):
+            raise MachineInvariantError("repeated label in DFA description")
         if self.initial not in states or not set(self.finals) <= states:
             raise MachineInvariantError("unknown state in DFA description")
         for q in self.states:
@@ -104,11 +109,11 @@ def absorb_epsilon_labels(dfa: LabeledDfa, eps_labels: Iterable[str]) -> Labeled
 
 def parse_dfa_text(text: str) -> LabeledDfa:
     """Parse ``@kind dfa`` files: transitions are ``state label -> state``."""
-    states: list[str] = []
-    labels: list[str] = []
+    declared: list[str] = []
+    declared_labels: list[str] = []
     finals: list[str] = []
     initial: str | None = None
-    delta: dict[tuple[str, str], str] = {}
+    body: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -120,9 +125,9 @@ def parse_dfa_text(text: str) -> LabeledDfa:
                 if parts[1:] != ["dfa"]:
                     raise MachineTextError("expected '@kind dfa'", lineno)
             elif key == "@states":
-                states.extend(parts[1:])
+                declared.extend(parts[1:])
             elif key == "@labels":
-                labels.extend(parts[1:])
+                declared_labels.extend(parts[1:])
             elif key == "@final":
                 finals.extend(parts[1:])
             elif key == "@initial" and len(parts) == 2:
@@ -133,17 +138,20 @@ def parse_dfa_text(text: str) -> LabeledDfa:
         toks = line.split()
         if len(toks) != 4 or toks[2] != "->":
             raise MachineTextError("transition must be: state label -> state", lineno)
-        q, a, _, q2 = toks
+        body.append((lineno, toks))
+    if initial is None:
+        raise MachineTextError("missing @initial header", 0)
+
+    states = Names("state name", declared)
+    labels = Names("label", declared_labels)
+    delta: dict[tuple[str, str], str] = {}
+    for lineno, (q, a, _, q2) in body:
         if (q, a) in delta:
             raise MachineTextError(f"duplicate transition ({q!r}, {a!r})", lineno)
         delta[(q, a)] = q2
-        for s in (q, q2):
-            if s not in states:
-                states.append(s)
-        if a not in labels:
-            labels.append(a)
-    if initial is None:
-        raise MachineTextError("missing @initial header", 0)
+        states.note(q)
+        states.note(q2)
+        labels.note(a)
     return LabeledDfa(tuple(states), tuple(labels), delta, initial, tuple(finals))
 
 

@@ -43,6 +43,10 @@ class Dpda:
         states = set(self.states)
         gamma = set(self.stack_alphabet)
         sigma = set(self.input_alphabet)
+        if len(states) != len(self.states) or len(set(self.finals)) != len(self.finals):
+            raise MachineInvariantError("repeated state name in DPDA description")
+        if len(gamma) != len(self.stack_alphabet):
+            raise MachineInvariantError("repeated stack symbol in DPDA description")
         if self.initial_state not in states or not set(self.finals) <= states:
             raise MachineInvariantError("unknown state in DPDA description")
         if self.bottom not in gamma:

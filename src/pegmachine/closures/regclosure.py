@@ -95,7 +95,6 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
         for ch in spec.bindings[label].input_alphabet:
             if ch not in sigma:
                 sigma.append(ch)
-    wild = sigma + [RIGHT_MARK]
 
     mb = MachineBuilder(
         _INIT,
@@ -119,8 +118,8 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
     emit(_INIT, LEFT_MARK, _BOTTOM, Move(_DISPATCH, (), HAT_RIGHT))
     if dfa.initial in dfa.finals:
         emit(_DISPATCH, RIGHT_MARK, _BOTTOM, Move(_ACCEPT_EPS, (), DOWN))
+    sim, push = start_block(dfa.initial, labels[0])
     for a in sigma:
-        sim, push = start_block(dfa.initial, labels[0])
         emit(_DISPATCH, a, _BOTTOM, Move(sim, push, DOWN))
 
     # Stack symbol inventory.
@@ -155,7 +154,7 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
                     _sim(q_dfa, label, q, "g"), a, _dsym(label, z),
                     _target(q_dfa, label, q2, d), tuple(_dsym(label, s) for s in push),
                     replace=f"sr:{q_dfa}:{label}:{q2}:" + ",".join(push),
-                    below=d_syms + [marker], wild=wild,
+                    below=d_syms + [marker],
                 )
 
             # Stuck simulation: pop into rollback.  Missing (letter, symbol)
@@ -163,7 +162,7 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
             # the current block can match.
             for q in d.states:
                 src = _sim(q_dfa, label, q, "g")
-                for a in wild:
+                for a in (*sigma, RIGHT_MARK):
                     for z in d.stack_alphabet:
                         if (q, a, z) in d.delta and a != EPSILON:
                             continue
@@ -189,32 +188,26 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
 
             # Rollback arriving at this marker: try the next label, or hand
             # control back through the checkpoint below.
-            for a in wild:
-                if label in next_label:
-                    nxt = next_label[label]
-                    sim2, push2 = start_block(q_dfa, nxt)
-                    retry = f"rn:{q_dfa}:{nxt}"
-                    if retry not in states:
-                        states.add(retry)
-                        for a2 in wild:
-                            for below in cps + [_BOTTOM]:
-                                emit(retry, a2, below, Move(sim2, push2, DOWN))
-                    emit(_ROLLBACK, a, marker, Move(retry, (), UP))
-                else:
-                    emit(_ROLLBACK, a, marker, Move(_ROLL_UP, (), DOWN))
+            if label in next_label:
+                nxt = next_label[label]
+                sim2, push2 = start_block(q_dfa, nxt)
+                retry = f"rn:{q_dfa}:{nxt}"
+                states.note(retry)
+                for below in cps + [_BOTTOM]:
+                    mb.emit_any(retry, below, Move(sim2, push2, DOWN))
+                mb.emit_any(_ROLLBACK, marker, Move(retry, (), UP))
+            else:
+                mb.emit_any(_ROLLBACK, marker, Move(_ROLL_UP, (), DOWN))
 
     # Generic rollback pops and checkpoint resumption.
     for label in labels:
         for z in spec.bindings[label].stack_alphabet:
-            for a in wild:
-                emit(_ROLLBACK, a, _dsym(label, z), Move(_ROLLBACK, (), DOWN))
+            mb.emit_any(_ROLLBACK, _dsym(label, z), Move(_ROLLBACK, (), DOWN))
     for q_dfa in dfa.states:
         for label in labels:
             for qf in spec.bindings[label].finals:
                 cp = _cp(q_dfa, label, qf)
-                resume = _sim(q_dfa, label, qf, "g")
-                for a in wild:
-                    emit(_ROLL_UP, a, cp, Move(resume, (), UP))
+                mb.emit_any(_ROLL_UP, cp, Move(_sim(q_dfa, label, qf, "g"), (), UP))
     # _ROLL_UP on the bottom marker stays undefined: the search is exhausted.
 
     for z in gamma:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .machine import DOWN, HAT_RIGHT, LEFT_MARK, Machine, Move, RIGHT, RIGHT_MARK, UP
+from .machine import (
+    DOWN, HAT_RIGHT, LEFT_MARK, Machine, MachineBuilder, Move, RIGHT, RIGHT_MARK, UP,
+)
 
 
 def builtin_anbncn() -> Machine:
@@ -43,24 +45,12 @@ def builtin_loop() -> Machine:
     engine must reject it by loop detection in constant work regardless of
     input length.
     """
-    wild = ("a", RIGHT_MARK)
-    delta = {
-        ("q", LEFT_MARK, "Z"): Move("h", ("H",), RIGHT),
-    }
-    for sigma in wild:
-        delta[("h", sigma, "H")] = Move("q", (), DOWN)
-        delta[("q", sigma, "Z")] = Move("q", ("Z2",), DOWN)
-        delta[("q", sigma, "Z2")] = Move("q", (), UP)
-    return Machine(
-        states=("q", "h"),
-        input_alphabet=("a",),
-        stack_alphabet=("Z", "H", "Z2"),
-        finals=(),
-        initial_state="q",
-        bottom="Z",
-        delta=delta,
-        two_way=False,
-    )
+    mb = MachineBuilder("q", "Z", ("a",), states=("q", "h"), stack_alphabet=("Z", "H", "Z2"))
+    mb.emit("q", LEFT_MARK, "Z", Move("h", ("H",), RIGHT))
+    mb.emit_any("h", "H", Move("q", (), DOWN))
+    mb.emit_any("q", "Z", Move("q", ("Z2",), DOWN))
+    mb.emit_any("q", "Z2", Move("q", (), UP))
+    return mb.build()
 
 
 def builtin_sweep() -> Machine:

@@ -142,6 +142,8 @@ def validate_machine(m: Machine) -> None:
         raise MachineInvariantError(f"unknown initial state {m.initial_state!r}")
     if not set(m.finals) <= states:
         raise MachineInvariantError("final states must be states")
+    if len(set(m.finals)) != len(m.finals):
+        raise MachineInvariantError("duplicate final state")
     if m.bottom not in gamma:
         raise MachineInvariantError(f"bottom symbol {m.bottom!r} not in stack alphabet")
     delta = m.delta
@@ -256,6 +258,17 @@ class MachineBuilder:
         if prev is not move and prev != move:
             raise MachineInvariantError(f"conflicting moves for delta{key!r}: {prev} and {move}")
 
+    def emit_any(self, q: str, z: str, move: Move) -> None:
+        """Emit ``move`` on every input letter and on the right end marker.
+
+        The paper's "for every a in Σ ∪ {⊣}" rules.  The left end marker is
+        not included: a row that also acts there emits it separately.
+        """
+        emit = self.emit
+        for a in self.input_alphabet:
+            emit(q, a, z, move)
+        emit(q, RIGHT_MARK, z, move)
+
     def dpda_move(
         self,
         src: str,
@@ -265,18 +278,16 @@ class MachineBuilder:
         push: tuple[str, ...],
         replace: str,
         below: Sequence[str],
-        wild: Sequence[str],
     ) -> None:
         """Emit a classical DPDA move as stack surgery on its tagged symbols.
 
         In ``src`` with ``top`` on the stack, the move reads ``letter`` and
         moves right, or, when ``letter`` is empty (epsilon), acts on every
-        letter of ``wild`` and stays put.  It replaces ``top`` by ``push``
-        (top first) and enters ``target``.  A push that keeps ``top`` at
-        its bottom pushes only the rest, or is a hat move when nothing is
-        left.  Any other push pops ``top`` into the state ``replace``,
-        which pushes ``push`` on every letter of ``wild`` over whichever of
-        ``below`` is exposed.
+        letter and stays put.  It replaces ``top`` by ``push`` (top first)
+        and enters ``target``.  A push that keeps ``top`` at its bottom
+        pushes only the rest, or is a hat move when nothing is left.  Any
+        other push pops ``top`` into the state ``replace``, which pushes
+        ``push`` on every letter over whichever of ``below`` is exposed.
         """
         step, hat = (RIGHT, HAT_RIGHT) if letter else (DOWN, HAT_DOWN)
         if not push:
@@ -285,12 +296,13 @@ class MachineBuilder:
             move = Move(target, push[:-1], step) if len(push) > 1 else Move(target, (), hat)
         else:
             self.states.note(replace)
-            for a in wild:
-                for z in below:
-                    self.emit(replace, a, z, Move(target, push, DOWN))
+            for z in below:
+                self.emit_any(replace, z, Move(target, push, DOWN))
             move = Move(replace, (), step)
-        for a in [letter] if letter else wild:
-            self.emit(src, a, top, move)
+        if letter:
+            self.emit(src, letter, top, move)
+        else:
+            self.emit_any(src, top, move)
 
     def build(self) -> Machine:
         return Machine(

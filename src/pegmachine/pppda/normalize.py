@@ -31,7 +31,6 @@ from .machine import (
     MachineBuilder,
     Move,
     RIGHT,
-    RIGHT_MARK,
     UP,
     _HAT_CORE,
 )
@@ -50,7 +49,6 @@ def desugar_hat_moves(m: Machine) -> Machine:
         return m
     mb = MachineBuilder.like(m)
     emit = mb.emit
-    wild = _wild(m)
     expansions: dict[tuple[str, str], Move] = {}
     for (q, a, z), mv in m.delta.items():
         target, _, direction = mv
@@ -64,8 +62,7 @@ def desugar_hat_moves(m: Machine) -> Machine:
             mid = mb.states.fresh(f"hats:{target}:{direction}")
             push = expansions[target, direction] = Move(mid, (sym,), core)
             pop = Move(target, (), DOWN)
-            for sigma in wild:
-                emit(mid, sigma, sym, pop)
+            mb.emit_any(mid, sym, pop)
             if core != RIGHT:  # a hatdown/hatleft may pop on the marker
                 emit(mid, LEFT_MARK, sym, pop)
         emit(q, a, z, push)
@@ -105,14 +102,9 @@ def normalize(m: Machine) -> Machine:
     return m
 
 
-def _wild(m: Machine) -> list[str]:
-    return list(m.input_alphabet) + [RIGHT_MARK]
-
-
 def _stage_pop_directions(m: Machine) -> Machine:
     mb = MachineBuilder.like(m)
     emit = mb.emit
-    wild = _wild(m)
     for (q, a, z), mv in m.delta.items():
         target, push, direction = mv
         if push or direction == DOWN or direction == UP:
@@ -123,10 +115,8 @@ def _stage_pop_directions(m: Machine) -> Machine:
         mid1 = mb.states.fresh(f"nr1:{q}:{a}:{z}")
         mid2 = mb.states.fresh(f"nr2:{q}:{a}:{z}")
         emit(q, a, z, Move(mid1, (sym,), RIGHT))
-        to_mid2, to_target = Move(mid2, (), DOWN), Move(target, (), DOWN)
-        for sigma in wild:
-            emit(mid1, sigma, sym, to_mid2)
-            emit(mid2, sigma, z, to_target)
+        mb.emit_any(mid1, sym, Move(mid2, (), DOWN))
+        mb.emit_any(mid2, z, Move(target, (), DOWN))
     return mb.build()
 
 
@@ -141,9 +131,6 @@ def _stage_single_push(m: Machine) -> Machine:
         return chain_cache[key]
 
     emit = mb.emit
-    # The chain may run on the left end marker too (a down push there keeps
-    # the head on it), so its links act on every letter.
-    every_letter = _wild(m) + [LEFT_MARK]
     for (q, a, z), mv in m.delta.items():
         target, syms, direction = mv  # syms[0] is the top once everything is pushed
         if len(syms) <= 1:
@@ -161,9 +148,11 @@ def _stage_single_push(m: Machine) -> Machine:
                 nxt: str = target
             else:
                 nxt = chain_state(target, remaining[:-1])
+            # The chain may run on the left end marker too (a down push
+            # there keeps the head on it), so its links act there as well.
             link = Move(nxt, (remaining[-1],), DOWN)
-            for sigma in every_letter:
-                emit(src, sigma, below, link)
+            mb.emit_any(src, below, link)
+            emit(src, LEFT_MARK, below, link)
     return mb.build()
 
 
@@ -176,8 +165,8 @@ def _stage_outer_bottom(m: Machine) -> Machine:
     mb.emit(init, LEFT_MARK, nz, Move(m.initial_state, (m.bottom,), DOWN))
     to_fin = Move(fin, (), DOWN)
     for f in m.finals:
-        for sigma in [LEFT_MARK] + _wild(m):
-            mb.emit(f, sigma, nz, to_fin)
+        mb.emit(f, LEFT_MARK, nz, to_fin)
+        mb.emit_any(f, nz, to_fin)
     mb.initial_state, mb.bottom, mb.finals = init, nz, (fin,)
     return mb.build()
 
@@ -241,16 +230,13 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
     skip_sym = mb.stack_alphabet.fresh(_SKIP_SYM)
 
     emit = mb.emit
-    wild = _wild(m)
     norm = {q: _norm(q) for q in m.states}
     for (q, a, z), mv in m.delta.items():
         if a == LEFT_MARK:
             if q not in begin_states:
                 continue
             for variant in (z,) if z not in tagged_syms else (z, _tagged(z)):
-                translated = _begin_move(mv, tagged=variant != z)
-                for sigma in wild:
-                    emit(_begin(q), sigma, variant, translated)
+                mb.emit_any(_begin(q), variant, _begin_move(mv, tagged=variant != z))
             continue
         target, push, direction = mv
         out = Move(norm[target], push, direction)
@@ -262,9 +248,7 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
 
     init = mb.initial_state
     mb.emit(init, LEFT_MARK, m.bottom, Move(skip_state, (skip_sym,), RIGHT))
-    to_init = Move(init, (), DOWN)
-    for sigma in wild:
-        mb.emit(skip_state, sigma, skip_sym, to_init)
+    mb.emit_any(skip_state, skip_sym, Move(init, (), DOWN))
     return mb.build()
 
 

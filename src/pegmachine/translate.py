@@ -33,9 +33,7 @@ from .peg.ast import (
     Not,
     Sequence,
     Terminal,
-    cnf_body_shape_ok,
     reachable_from,
-    references_of,
 )
 from .peg.interpret import accepts
 from .peg.wellformed import require_well_formed
@@ -95,14 +93,10 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
     The output is hat-free and deterministic by construction; it accepts a
     word exactly when the grammar does.
     """
-    for name in g.nonterminals:
-        if not cnf_body_shape_ok(g.rules[name]):
-            raise NotCnfError(f"rule for {name!r} is not a normal-form shape")
-        if g.axiom in references_of(g.rules[name]):
-            raise NotCnfError("axiom occurs on a right-hand side")
+    if not isinstance(g, CnfGrammar):
+        g = CnfGrammar(g.nonterminals, g.alphabet, g.rules, g.axiom)
     require_well_formed(g)
 
-    wild = list(g.alphabet) + [RIGHT_MARK]
     mb = MachineBuilder(
         _INITIAL,
         _BOTTOM,
@@ -128,17 +122,14 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
     for name in g.nonterminals:
         for sign in "+-":
             q = _signed(name, sign)
-            close = Move(q, (), DOWN)
-            for a in wild:
-                emit(q, a, _nt_sym(name), close)
+            mb.emit_any(q, _nt_sym(name), Move(q, (), DOWN))
     emit(_signed(g.axiom, "+"), RIGHT_MARK, _BOTTOM, Move(_FINAL, (), DOWN))
 
     for name in g.nonterminals:
         body = g.rules[name]
         a_sym = _nt_sym(name)
         ok, fail = _signed(name, "+"), _signed(name, "-")
-        # (state, top symbol, move) of the rule's letter-independent moves,
-        # emitted for every letter.
+        # (state, top symbol, move) of the rule's letter-independent moves.
         rows: list[tuple[str, str, Move]]
         if isinstance(body, Sequence):
             b, c = body.left.name, body.right.name
@@ -179,15 +170,14 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
         elif isinstance(body, Terminal):
             emit(_WORK, body.symbol, a_sym, Move(ok, (), HAT_RIGHT))
             mismatch = Move(fail, (), HAT_DOWN)
-            for a in wild:
+            for a in (*g.alphabet, RIGHT_MARK):
                 if a != body.symbol:
                     emit(_WORK, a, a_sym, mismatch)
             continue
         else:  # pragma: no cover - shape checked above
             raise NotCnfError(f"unexpected body {body!r}")
-        for a in wild:
-            for q, z, move in rows:
-                emit(q, a, z, move)
+        for q, z, move in rows:
+            mb.emit_any(q, z, move)
 
     return desugar_hat_moves(mb.build())
 

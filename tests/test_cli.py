@@ -451,3 +451,30 @@ def test_trace_needs_the_direct_engine(argv, fig2_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --trace needs the direct engine\n"
+
+
+# --- repeated names in machine, DPDA and DFA files ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, old, new",
+    [
+        ("mach", "@final qf", "@final qf qf"),
+        ("dpda", "@final rf", "@final rf rf"),
+        ("dfa", "@states s0 s1 sink", "@states s0 s1 s0 sink"),
+        ("dfa", "@labels l1 l2", "@labels l1 l2 l1"),
+        ("dfa", "@final s0", "@final s0 s0"),
+    ],
+)
+def test_repeated_names_in_files_exit_2(kind, old, new, tmp_path, capsys):
+    text = {
+        "mach": ANBNCN_SOURCE,
+        "dpda": render_dpda_text(dpda_cmd()),
+        "dfa": render_dfa_text(dfa_pairs()),
+    }[kind]
+    assert old + "\n" in text
+    path = tmp_path / f"dup.{kind}"
+    path.write_text(text.replace(old + "\n", new + "\n"))
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -58,6 +58,27 @@ def test_dpda_determinism_validated():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value", [("states", ("q", "q")), ("finals", ("q", "q")), ("stack_alphabet", ("B", "B"))]
+)
+def test_dpda_repeated_names_rejected(field, value):
+    parts = dict(
+        states=("q",), input_alphabet=("a",), stack_alphabet=("B",),
+        finals=(), initial_state="q", bottom="B", delta={},
+    )
+    with pytest.raises(MachineInvariantError, match="repeated"):
+        Dpda(**{**parts, field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value", [("states", ("s", "s")), ("finals", ("s", "s")), ("labels", ("l", "l"))]
+)
+def test_dfa_repeated_names_rejected(field, value):
+    parts = dict(states=("s",), labels=("l",), delta={("s", "l"): "s"}, initial="s", finals=())
+    with pytest.raises(MachineInvariantError, match="repeated"):
+        LabeledDfa(**{**parts, field: value})
+
+
 def test_dpda_text_roundtrip():
     d = dpda_anbn()
     text = render_dpda_text(d)

@@ -151,6 +151,7 @@ def _machine(delta=None, **parts) -> Machine:
             dict(delta={("p", "a", "Z"): Move("p", (), LEFT)}),
             "delta('p', 'a', 'Z'): left moves need a two-way machine",
         ),
+        (dict(finals=("p", "p")), "duplicate final state"),
     ],
 )
 def test_every_validation_message(parts, message):
@@ -299,6 +300,30 @@ def test_builder_conflicting_emit_raises():
     mb.emit("q", "a", "Z", Move("p", (), RIGHT))
     with pytest.raises(MachineInvariantError):
         mb.emit("q", "a", "Z", Move("q", (), RIGHT))
+
+
+def test_builder_emit_any_covers_every_letter_and_the_right_marker():
+    mb = MachineBuilder("q", "Z", "ab", states=["q", "p"], stack_alphabet=["Z"])
+    mb.emit_any("q", "Z", Move("p", (), DOWN))
+    assert mb.delta == {("q", a, "Z"): Move("p", (), DOWN) for a in ("a", "b", RIGHT_MARK)}
+
+
+def test_builder_identical_emit_any_is_a_no_op():
+    mb = _builder()
+    move = Move("p", (), DOWN)
+    mb.emit("q", "a", "Z", move)
+    mb.emit_any("q", "Z", move)
+    mb.emit_any("q", "Z", move)
+    assert mb.build().delta == {("q", "a", "Z"): move, ("q", RIGHT_MARK, "Z"): move}
+
+
+@pytest.mark.parametrize("letter", ["a", RIGHT_MARK])
+def test_builder_letter_emit_conflicting_with_emit_any_raises(letter):
+    mb = _builder()
+    mb.emit_any("q", "Z", Move("p", (), DOWN))
+    mb.emit("q", LEFT_MARK, "Z", Move("q", (), DOWN))  # not covered: no conflict
+    with pytest.raises(MachineInvariantError, match="conflicting moves"):
+        mb.emit("q", letter, "Z", Move("q", (), DOWN))
 
 
 def test_builder_fresh_skips_taken_names():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pegmachine.cooksim import run_linear
-from pegmachine.errors import NotCnfError, NotNormalError
+from pegmachine.errors import GrammarInvariantError, NotCnfError, NotNormalError
 from pegmachine.peg import (
     Consumed,
     FAILURE,
@@ -61,6 +61,9 @@ def test_compile_negation():
 def test_compile_rejects_non_cnf(fig2):
     with pytest.raises(NotCnfError):
         peg_to_dppda(fig2)
+    # Normal-form shapes, but the axiom on a right-hand side.
+    with pytest.raises(GrammarInvariantError, match="right-hand side"):
+        peg_to_dppda(parse_grammar_text('S <- A S\nA <- "a"'))
 
 
 def test_compiled_machines_loop_free(fig2, sec13_union):
