@@ -15,13 +15,23 @@ Terminators satisfy a recurrence: a pop move terminates immediately, and
 for a push move the terminators of the pushed symbols' episodes, chased in
 order from the top and each followed by its pop move, give the surface
 configuration from which the original symbol's episode continues.  Each
-surface configuration is computed at most once into a write-once table
-whose values are terminators or one of two sentinels: ``IN_PROGRESS``
+surface configuration whose move pushes is computed at most once into a
+write-once table whose values are terminators or one of two sentinels:
+``IN_PROGRESS``
 while the chase is open, ``STUCK`` when it reached a configuration with no
 move, so that the symbol is never popped.  Reaching a configuration whose
 chase is still open proves the machine loops, and the input is rejected
 outright.  Evaluation is iterative with an explicit frame stack, so
 recursion depth never grows with the input.
+
+The engine reads δ through ``Machine.coded_delta``, where states, symbols
+and letters are ints whose sum keys a transition.  A surface
+configuration is keyed by the int ``state + symbol + head * K`` and a
+terminator is the int ``state + head * K``, with ``K = |Q| * |Gamma| * L``
+for ``L`` letter codes.  A surface whose move pops is trivially its own
+terminator, and one with no move is stuck; neither can be part of a loop,
+so the chase resolves them on the spot and gives them no table entry.  In
+particular a pushed symbol that pops at once costs one δ read and one op.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MachineInvariantError
-from .pppda.machine import DOWN, LEFT, LEFT_MARK, Machine, RIGHT, RIGHT_MARK, UP, letter_at
+from .pppda.machine import DOWN, LEFT, Machine, RIGHT, UP, letter_at
 
 ACCEPT, REJECT = "accept", "reject"
 
@@ -39,23 +49,26 @@ STUCK = "stuck"
 # Head displacement of every direction but ``up``, which returns to the origin.
 _STEP = {LEFT: -1, DOWN: 0, RIGHT: 1}
 
-Key = tuple[str, str, int]  # (state, top symbol, head)
-
 
 def terminator(
-    m: Machine, word: str, key: Key, table: dict[Key, object]
-) -> tuple[object, int, Key | None]:
-    """Compute (and memoize in ``table``) the terminator of ``key``.
+    m: Machine, word: str, key: int, table: dict[int, object]
+) -> tuple[object, int, int | None]:
+    """Compute (and memoize in ``table``) the terminator of surface ``key``.
 
-    Returns ``(value, ops, loop_at)``.  ``value`` is the terminator
-    ``(state, head)``, ``STUCK``, or ``IN_PROGRESS`` when the chase
-    re-entered ``loop_at``, a key whose chase is still open.  ``ops``
-    counts the table's gets, in-progress marks and finishes.
+    Surfaces and terminators are coded through ``m.coded_delta``: ``key``
+    is ``state + symbol + head * key_space``, a terminator is
+    ``state + head * key_space``.  Returns ``(value, ops, loop_at)``.
+    ``value`` is the terminator, ``STUCK``, or ``IN_PROGRESS`` when the
+    chase re-entered ``loop_at``, a surface whose chase is still open.
+    ``ops`` counts the table's gets, in-progress marks and finishes; where
+    a surface that pops or halts at once takes the place of a get, its δ
+    read counts instead.
     """
     if m.has_hat_moves:
         raise MachineInvariantError("terminator needs a hat-free machine; desugar first")
-    delta = m.delta
-    letters = (LEFT_MARK, *word, RIGHT_MARK)
+    delta = m.coded_delta
+    letters = delta.code_word(word)
+    per_head = delta.key_space  # surface codes per head position
     ops = 1
     hit = table.get(key)
     if hit is IN_PROGRESS:
@@ -65,54 +78,68 @@ def terminator(
     ops += 1
     table[key] = IN_PROGRESS
 
-    # The open frame chases the episode of ``sym``; ``keys`` are the surface
-    # configurations with that symbol on top it has passed, all sharing one
-    # terminator.  While ``chain`` is set, the symbols it pushed are chased
-    # in order, ``chain[idx]`` on top, every one of them with origin ``origin``.
-    state, sym, head = key
+    # The open frame chases the episode of ``sym``, whose surface move is
+    # ``mv`` while ``chain`` is None; ``keys`` are the surface configurations
+    # with that symbol on top it has passed, all sharing one terminator.
+    # While ``chain`` is set, the symbols it pushed (top last) are chased
+    # from ``chain[idx - 1]`` down, every one of them with origin ``origin``.
+    # Only a surface whose move pushes is memoized: one that halts or pops
+    # at once is resolved on the spot and can take no part in a loop.
+    head, surface = divmod(key, per_head)
+    sym = surface % delta.symbol_span
+    state = surface - sym
+    mv = delta[state + letters[head] + sym]
     keys = [key]
-    chain: tuple[str, ...] | None = None
+    chain: tuple[int, ...] | None = None
     idx = origin = 0
-    parents: list[tuple[str, list[Key], tuple[str, ...], int, int]] = []
+    parents: list[tuple[int, list[int], tuple[int, ...], int, int]] = []
     while True:
         if chain is None:
-            mv = delta.get((state, letters[head], sym))
             if mv is None:
                 value: object = STUCK
+            elif not mv[1]:
+                value = state + head * per_head
             else:
-                target, push, direction = mv
-                if not push:
-                    value = (state, head)
-                else:
-                    state = target
-                    head += _STEP[direction]
-                    chain, idx, origin = push, 0, head
-                    continue
-        elif idx < len(chain):
+                state, chain, offset, _ = mv
+                head += offset
+                idx, origin = len(chain), head
+                continue
+        elif idx:
+            idx -= 1
             top = chain[idx]
-            sub = (state, top, head)
+            mv = delta[state + letters[head] + top]
             ops += 1
-            hit = table.get(sub)
-            if hit is None:  # suspend this frame and chase the pushed symbol
-                ops += 1
-                table[sub] = IN_PROGRESS
-                parents.append((sym, keys, chain, idx, origin))
-                sym, keys, chain = top, [sub], None
-                continue
-            if hit is IN_PROGRESS:
-                return hit, ops, sub
-            if hit is STUCK:
+            if mv is None:
                 value = STUCK
-            else:
-                state, head = hit  # type: ignore[misc]
-                state, _, direction = delta[(state, letters[head], top)]
-                head = origin if direction == UP else head + _STEP[direction]
-                idx += 1
+            elif not mv[1]:  # the pushed symbol pops at once: apply that pop
+                state, _, offset, up = mv
+                head = origin if up else head + offset
                 continue
+            else:
+                sub = state + top + head * per_head
+                hit = table.get(sub)
+                if hit is None:  # suspend this frame and chase the pushed symbol
+                    ops += 1
+                    table[sub] = IN_PROGRESS
+                    parents.append((sym, keys, chain, idx, origin))
+                    sym, keys, chain = top, [sub], None
+                    continue
+                if hit is IN_PROGRESS:
+                    return hit, ops, sub
+                if hit is STUCK:
+                    value = STUCK
+                else:
+                    head, state = divmod(hit, per_head)  # type: ignore[call-overload]
+                    state, _, offset, up = delta[state + letters[head] + top]
+                    head = origin if up else head + offset
+                    continue
         else:  # every pushed symbol is popped: the frame's own is on top again
             chain = None
-            tail = (state, sym, head)
+            mv = delta[state + letters[head] + sym]
             ops += 1
+            if mv is None or not mv[1]:
+                continue
+            tail = state + sym + head * per_head
             hit = table.get(tail)
             if hit is None:
                 ops += 1
@@ -135,10 +162,9 @@ def terminator(
             if value is not STUCK:
                 break
         # Apply the pop move of the resolved child symbol, ``chain[idx]``.
-        state, head = value  # type: ignore[misc]
-        state, _, direction = delta[(state, letters[head], chain[idx])]
-        head = origin if direction == UP else head + _STEP[direction]
-        idx += 1
+        head, state = divmod(value, per_head)  # type: ignore[call-overload]
+        state, _, offset, up = delta[state + letters[head] + chain[idx]]
+        head = origin if up else head + offset
 
 
 @dataclass(frozen=True)
@@ -147,7 +173,7 @@ class LinearRun:
     reason: str | None
     ops: int
     table_size: int
-    loop_at: Key | None = None
+    loop_at: tuple[str, str, int] | None = None  # (state, symbol, head)
 
 
 def run_linear(m: Machine, word: str) -> LinearRun:
@@ -159,17 +185,19 @@ def run_linear(m: Machine, word: str) -> LinearRun:
     being a single symbol deep at start, is then empty).  A detected loop
     or a stuck chase rejects.
     """
-    table: dict[Key, object] = {}
-    value, ops, loop_at = terminator(m, word, (m.initial_state, m.bottom, 0), table)
+    delta = m.coded_delta
+    table: dict[int, object] = {}
+    key = delta.surface(m.initial_state, m.bottom, 0)
+    value, ops, loop_at = terminator(m, word, key, table)
     size = len(table)
     if size > len(m.states) * len(m.stack_alphabet) * (len(word) + 2):
         raise MachineInvariantError(f"terminator table outgrew its key space: {size} entries")
     if value is IN_PROGRESS:
-        return LinearRun(REJECT, "loop", ops, size, loop_at)
+        return LinearRun(REJECT, "loop", ops, size, delta.decode_surface(loop_at))
     if value is STUCK:
         return LinearRun(REJECT, "stuck", ops, size)
-    state, head = value  # type: ignore[misc]
-    mv = m.delta[(state, letter_at(word, head), m.bottom)]
+    head, state = divmod(value, delta.key_space)  # type: ignore[call-overload]
+    mv = m.delta[(delta.decode_state(state), letter_at(word, head), m.bottom)]
     head = 0 if mv.direction == UP else head + _STEP[mv.direction]
     if mv.state in m.finals and head == len(word) + 1:
         return LinearRun(ACCEPT, None, ops, size)
@@ -197,7 +225,10 @@ def work_bound(m: Machine, n: int) -> int:
 
     ``2 * |Q| * |Gamma| * (n + 2) * 4``: at most two episode chases touch
     each materialized surface configuration, and each touch costs a
-    bounded handful of table operations.
+    bounded handful of table operations.  A surface that pops or halts at
+    once has no table entry: reading its move counts as one operation (for
+    a pushed symbol that pops at once, applying the pop), and every such
+    read follows a push move made at a materialized surface.
     """
     return 2 * len(m.states) * len(m.stack_alphabet) * (n + 2) * WORK_BOUND_FACTOR
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -43,6 +43,8 @@ _OFF_THE_ENDS = frozenset(
 # Columns of δ's keys (state, letter, top symbol) and of its moves.
 _state_of, _letter_of, _top_of = itemgetter(0), itemgetter(1), itemgetter(2)
 _direction_of = itemgetter(2)
+# Head displacement of each core direction; an ``up`` pop returns to the origin instead.
+_HEAD_STEP = {LEFT: -1, DOWN: 0, RIGHT: 1, UP: 0}
 
 
 class Move(NamedTuple):
@@ -91,6 +93,11 @@ class Machine:
         return not _HATS.isdisjoint(map(_direction_of, self.delta.values()))
 
     @cached_property
+    def coded_delta(self) -> CodedDelta:
+        """δ on integer codes, for the engines; see :class:`CodedDelta`."""
+        return CodedDelta(self)
+
+    @cached_property
     def normal_form_defect(self) -> str | None:
         """Why the machine breaks the structural normal form, or None.
 
@@ -117,6 +124,87 @@ class Machine:
                 if key[2] == bottom:
                     return "bottom marker must be popped down"
         return None
+
+
+CodedMove = tuple[int, tuple[int, ...], int, bool]  # (target, push top-last, head step, is_up)
+
+
+class CodedDelta(dict):
+    """δ on integer codes, filled lazily: the engines' transition table.
+
+    With ``L`` letter codes, a state's code is its index times ``|Γ| * L``,
+    a stack symbol's is its index times ``L``, and a letter's is its index
+    in :attr:`Machine.letters`.  One more letter code, :attr:`foreign`,
+    stands for every letter outside the alphabet, end markers inside the
+    word included, and no transition uses it.  So δ(q, a, Z) is keyed by
+    the one int ``q + Z + a``, and a surface configuration (q, Z, head) by
+    ``q + Z + head * key_space``.  A move is coded as :data:`CodedMove`;
+    a missing transition as ``None``.
+
+    Entries are coded on first use by :meth:`__missing__`, so a run pays
+    for the transitions it reaches rather than for |δ|.  Read entries by
+    subscript: ``get`` would skip the coding.
+    """
+
+    def __init__(self, m: Machine):
+        super().__init__()
+        self._delta = m.delta
+        self._states = m.states
+        self._symbols = m.stack_alphabet
+        self._letters = m.letters
+        self.foreign = len(self._letters)
+        self.span = self.foreign + 1  # L
+        self.symbol_span = len(m.stack_alphabet) * self.span  # |Γ| * L
+        self.key_space = len(m.states) * self.symbol_span  # |Q| * |Γ| * L
+        self.state_code = {q: i * self.symbol_span for i, q in enumerate(m.states)}
+        self.symbol_code = {z: i * self.span for i, z in enumerate(m.stack_alphabet)}
+        self._letter_code = {a: i for i, a in enumerate(m.input_alphabet)}
+
+    def __missing__(self, key: int) -> CodedMove | None:
+        rest, a = divmod(key, self.span)
+        q, z = divmod(rest, len(self._symbols))
+        mv = None
+        if a != self.foreign:
+            mv = self._delta.get((self._states[q], self._letters[a], self._symbols[z]))
+        if mv is not None:
+            target, push, direction = mv
+            code = self.symbol_code
+            mv = (
+                self.state_code[target],
+                tuple(code[s] for s in reversed(push)),
+                _HEAD_STEP[direction],
+                direction == UP,
+            )
+        self[key] = mv
+        return mv
+
+    def code_word(self, word: str) -> list[int]:
+        """The letter codes of ``< word >``, one per head position."""
+        left = self.foreign - 2
+        return [left, *map(self._letter_code.get, word, repeat(self.foreign)), left + 1]
+
+    def surface(self, state: str, symbol: str, head: int) -> int:
+        return self.state_code[state] + self.symbol_code[symbol] + head * self.key_space
+
+    def decode_surface(self, key: int) -> tuple[str, str, int]:
+        """The (state, symbol, head) that :meth:`surface` coded as ``key``."""
+        head, rest = divmod(key, self.key_space)
+        q, z = divmod(rest // self.span, len(self._symbols))
+        return self._states[q], self._symbols[z], head
+
+    def decode_state(self, code: int) -> str:
+        return self._states[code // self.symbol_span]
+
+    def configuration(
+        self, state: int, symbols: list[int], origins: list[int], head: int
+    ) -> Configuration:
+        """The configuration of coded ``state`` and stack (top last), decoded."""
+        span, names = self.span, self._symbols
+        return Configuration(
+            self.decode_state(state),
+            tuple((names[z // span], o) for z, o in zip(reversed(symbols), reversed(origins))),
+            head,
+        )
 
 
 def validate_machine(m: Machine) -> None:
@@ -336,11 +424,17 @@ class Halt:
 
 
 def letter_at(word: str, j: int) -> str:
+    """The cell at head position ``j`` of ``< word >``.
+
+    An end marker inside the word reads as ``""``, a letter no transition
+    uses, like any other letter outside the alphabet.
+    """
     if j == 0:
         return LEFT_MARK
     if j == len(word) + 1:
         return RIGHT_MARK
-    return word[j - 1]
+    a = word[j - 1]
+    return "" if a == LEFT_MARK or a == RIGHT_MARK else a
 
 
 def initial_configuration(m: Machine) -> Configuration:
@@ -440,45 +534,29 @@ def run_direct(
     if collect_trace:
         trace: list[TraceEvent] = []
         return replace(trace_direct(m, word, trace.append, limit), trace=tuple(trace))
-    get = m.delta.get
-    letters = (LEFT_MARK, *word, RIGHT_MARK)
-    state = m.initial_state
-    symbols = [m.bottom]  # the stack, top last
+    delta = m.coded_delta
+    letters = delta.code_word(word)
+    state = delta.state_code[m.initial_state]
+    symbols = [delta.symbol_code[m.bottom]]  # the stack, top last
     origins = [0]  # the origin of each entry of ``symbols``
     head = steps = 0
     while symbols:
-        mv = get((state, letters[head], symbols[-1]))
+        mv = delta[state + letters[head] + symbols[-1]]
         if mv is None:
             break
         if steps >= limit:
-            return DirectRun(BUDGET, None, steps, _configuration(state, symbols, origins, head))
-        state, push, direction = mv
+            return DirectRun(BUDGET, None, steps, delta.configuration(state, symbols, origins, head))
+        state, push, offset, up = mv
         if push:
-            if direction == RIGHT:
-                head += 1
-            elif direction == LEFT:
-                head -= 1
-            if len(push) == 1:
-                symbols.append(push[0])
-                origins.append(head)
-            else:
-                symbols.extend(reversed(push))
-                origins.extend([head] * len(push))
+            head += offset
+            symbols += push
+            origins += [head] * len(push)
         else:
             symbols.pop()
             origin = origins.pop()
-            if direction == UP:
-                head = origin
-            elif direction == RIGHT:
-                head += 1
-            elif direction == LEFT:
-                head -= 1
+            head = origin if up else head + offset
         steps += 1
-    return _verdict(m, word, steps, _configuration(state, symbols, origins, head))
-
-
-def _configuration(state: str, symbols: list[str], origins: list[int], head: int) -> Configuration:
-    return Configuration(state, tuple(zip(reversed(symbols), reversed(origins))), head)
+    return _verdict(m, word, steps, delta.configuration(state, symbols, origins, head))
 
 
 def trace_direct(

@@ -66,7 +66,9 @@ def desugar_hat_moves(m: Machine) -> Machine:
             if core != RIGHT:  # a hatdown/hatleft may pop on the marker
                 emit(mid, LEFT_MARK, sym, pop)
         emit(q, a, z, push)
-    return mb.build()
+    out = mb.build()
+    vars(out)["has_hat_moves"] = False  # record the verdict, so no engine walks δ for it
+    return out
 
 
 # Fresh-name prefixes used by normalize; stage D state names.

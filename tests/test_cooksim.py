@@ -34,11 +34,18 @@ def _md():
     return desugar_hat_moves(builtin_anbncn())
 
 
+def _decode_terminator(m, value):
+    """The (state, head) a coded terminator names."""
+    head, state = divmod(value, m.coded_delta.key_space)
+    return m.coded_delta.decode_state(state), head
+
+
 def test_pop_surface_is_its_own_terminator():
     md = _md()
     # (q0, b, X) pops: the surface terminates itself.
-    value, _, _ = terminator(md, "aaabbbccc", ("q0", "X", 4), {})
-    assert value == ("q0", 4)
+    key = md.coded_delta.surface("q0", "X", 4)
+    value, _, _ = terminator(md, "aaabbbccc", key, {})
+    assert _decode_terminator(md, value) == ("q0", 4)
 
 
 def test_two_rule_machine_loops():
@@ -52,15 +59,16 @@ def test_two_rule_machine_loops():
         states=("q", "h"), input_alphabet=("a",), stack_alphabet=("Z", "H", "Z2"),
         finals=(), initial_state="q", bottom="Z", delta=delta,
     )
-    value, _, loop_at = terminator(m, "a", ("q", "Z", 1), {})
+    value, _, loop_at = terminator(m, "a", m.coded_delta.surface("q", "Z", 1), {})
     assert value is IN_PROGRESS
-    assert loop_at == ("q", "Z", 1)
+    assert m.coded_delta.decode_surface(loop_at) == ("q", "Z", 1)
 
 
 def test_initial_terminator_gives_acceptance():
     md = _md()
-    value, _, _ = terminator(md, "abc", (md.initial_state, md.bottom, 0), {})
-    state, head = value
+    key = md.coded_delta.surface(md.initial_state, md.bottom, 0)
+    value, _, _ = terminator(md, "abc", key, {})
+    state, head = _decode_terminator(md, value)
     assert head == len("abc") + 1
     mv = md.delta[(state, RIGHT_MARK, md.bottom)]
     assert mv.state == "qf" and mv.direction == DOWN
@@ -132,8 +140,9 @@ class _ForgetfulTable(dict):
 
 def test_memo_write_once():
     md = _md()
+    key = md.coded_delta.surface(md.initial_state, md.bottom, 0)
     with pytest.raises(MachineInvariantError, match="write-once"):
-        terminator(md, "abc", (md.initial_state, md.bottom, 0), _ForgetfulTable())
+        terminator(md, "abc", key, _ForgetfulTable())
 
 
 def test_work_counter_linear_growth():
@@ -180,6 +189,9 @@ def test_sweep_table_stays_within_key_space():
     run = run_linear(m, "a" * n)
     assert run.outcome == "accept"
     assert run.table_size <= len(m.states) * len(m.stack_alphabet) * (n + 2)
+    # 3 203 entries and 11 207 ops when surfaces that pop at once (each
+    # sweep step's hat symbol) still took a table entry.
+    assert (run.table_size, run.ops) == (2_400, 9_601)
 
 
 @pytest.mark.parametrize("n", [100, 400, 800])
@@ -198,11 +210,15 @@ def test_terminator_matches_instrumented_replay():
     from pegmachine.pppda.machine import Configuration, Halt, step
 
     md = _md()
+    coded = md.coded_delta
     for word in all_words("abc", 6):
         table = {}
-        terminator(md, word, (md.initial_state, md.bottom, 0), table)
-        for (state, sym, head), want in table.items():
+        terminator(md, word, coded.surface(md.initial_state, md.bottom, 0), table)
+        for key, want in table.items():
+            state, sym, head = coded.decode_surface(key)
             assert want is not IN_PROGRESS, (word, state, sym, head)
+            if want is not STUCK:
+                want = _decode_terminator(md, want)
             for origin in range(len(word) + 2):
                 c = Configuration(state, ((sym, origin),), head)
                 seen = None

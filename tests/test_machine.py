@@ -220,6 +220,23 @@ def test_final_configuration_of_accepting_run():
     assert run.final == Configuration("qf", (), 10)
 
 
+@pytest.mark.parametrize("word", ["abc>", "a>bc", "<abc", "ab<c"])
+def test_end_markers_inside_the_word_are_foreign_letters(word):
+    # A marker inside the word has no transition, like any letter outside
+    # the alphabet: every engine halts on it rather than reading an end.
+    from pegmachine.cooksim import run_linear
+
+    md = desugar_hat_moves(builtin_anbncn())
+    foreign = word.replace("<", "z").replace(">", "z")
+    run = run_direct(md, word)
+    assert (run.outcome, run.reason) == ("reject", "no-transition")
+    assert run == run_direct(md, foreign)
+    assert run_direct(md, word, collect_trace=True) == run_direct(md, foreign, collect_trace=True)
+    lin = run_linear(md, word)
+    assert (lin.outcome, lin.reason) == ("reject", "stuck")
+    assert lin == run_linear(md, foreign)
+
+
 # --- trace invariants -----------------------------------------------------------
 
 

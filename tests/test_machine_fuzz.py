@@ -3,7 +3,9 @@
 Random one-way machines exercise corners the hand-built corpus does not:
 pushes and pops on the left end marker, up pops of symbols with origin 0,
 multi-symbol pushes, and partial transition tables.  Random two-way
-machines add left moves, which revisit cells with other stacks.
+machines add left moves, which revisit cells with other stacks.  Random
+sweep machines make the run depend on the origins: every pushed symbol's
+``up`` pop sends the head back to where it was pushed.
 """
 
 import random
@@ -11,9 +13,11 @@ from dataclasses import replace
 
 import pytest
 
-from pegmachine.cooksim import run_linear
+from pegmachine.cooksim import run_linear, work_bound
 from pegmachine.pppda import (
     DOWN,
+    HAT_DOWN,
+    HAT_RIGHT,
     Halt,
     LEFT,
     LEFT_MARK,
@@ -23,6 +27,7 @@ from pegmachine.pppda import (
     RIGHT_MARK,
     UP,
     check_normal,
+    desugar_hat_moves,
     initial_configuration,
     normalize,
     run_direct,
@@ -104,6 +109,63 @@ def random_two_way_machine(rng: random.Random) -> Machine:
     )
 
 
+def _random_move(rng: random.Random, a: str, symbols: tuple[str, ...], states) -> Move:
+    """Any move the one-way model allows on letter ``a``."""
+    target = rng.choice(states)
+    roll = rng.random()
+    if roll < 0.4:
+        return Move(target, (), rng.choice([DOWN, UP] + [RIGHT] * (a != RIGHT_MARK)))
+    if roll < 0.7:
+        push = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 2)))
+        return Move(target, push, rng.choice([DOWN] + [RIGHT] * (a != RIGHT_MARK)))
+    return Move(target, (), rng.choice([HAT_DOWN] + [HAT_RIGHT] * (a != RIGHT_MARK)))
+
+
+def random_sweep_machine(rng: random.Random) -> Machine:
+    """Push runs followed by ``up``-pop sweeps, as in ``builtin_sweep``, then mutated.
+
+    Push states read the word left to right, pushing one or two symbols per
+    letter.  On the right end marker a pushed symbol's ``up`` pop sends the
+    head back to its origin, from where a sweep state hat-moves right to
+    the marker and pops the next one.  Then about one move in five is
+    replaced by a random one, and a few are dropped.
+    """
+    push_states = tuple(f"p{i}" for i in range(rng.randint(1, 2)))
+    sweep_states = tuple(f"r{i}" for i in range(rng.randint(1, 2)))
+    states = push_states + sweep_states + ("f",)
+    pushed = tuple(f"X{i}" for i in range(rng.randint(1, 3)))
+    gamma = ("Z",) + pushed
+    delta = {(push_states[0], LEFT_MARK, "Z"): Move(rng.choice(push_states), (pushed[0],), RIGHT)}
+    for p in push_states:
+        for x in pushed:
+            for a in SIGMA:
+                push = tuple(rng.choice(pushed) for _ in range(rng.randint(1, 2)))
+                delta[(p, a, x)] = Move(rng.choice(push_states), push, RIGHT)
+            delta[(p, RIGHT_MARK, x)] = Move(rng.choice(sweep_states), (), UP)
+    for r in sweep_states:
+        for z in gamma:
+            for a in SIGMA:
+                delta[(r, a, z)] = Move(rng.choice(sweep_states), (), HAT_RIGHT)
+        for x in pushed:
+            delta[(r, RIGHT_MARK, x)] = Move(rng.choice(sweep_states), (), UP)
+        delta[(r, RIGHT_MARK, "Z")] = Move("f", (), DOWN)
+    for key in list(delta):
+        roll = rng.random()
+        if roll < 0.05:
+            del delta[key]
+        elif roll < 0.25:
+            delta[key] = _random_move(rng, key[1], gamma, states)
+    return desugar_hat_moves(Machine(
+        states=states,
+        input_alphabet=tuple(SIGMA),
+        stack_alphabet=gamma,
+        finals=("f",) + tuple(q for q in states[:-1] if rng.random() < 0.2),
+        initial_state=push_states[0],
+        bottom="Z",
+        delta=delta,
+    ))
+
+
 def stepped_run(m: Machine, word: str, limit: int) -> tuple:
     """(outcome, reason, steps, final) of iterating ``step`` from the start."""
     c = initial_configuration(m)
@@ -160,6 +222,28 @@ def test_linear_engine_agrees_with_direct_on_random_two_way_machines(seed):
         if direct.outcome != "budget":
             want = (direct.outcome, _COOK_REASON.get(direct.reason, direct.reason))
             linear = run_linear(m, word)
+            assert (linear.outcome, linear.reason) == want, (word, linear)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_linear_engine_on_random_sweep_machines(seed):
+    """Cook agrees with direct, within its table size and work bounds."""
+    rng = random.Random(4000 + seed)
+    m = random_sweep_machine(rng)
+    words = list(all_words(SIGMA, 4)) + ["a" * 24, "b" * 24]
+    words += ["".join(rng.choice(SIGMA) for _ in range(rng.randint(5, 24))) for _ in range(4)]
+    for word in words:
+        linear = run_linear(m, word)
+        assert linear.table_size <= len(m.states) * len(m.stack_alphabet) * (len(word) + 2), word
+        assert linear.ops <= work_bound(m, len(word)), word
+        direct = run_direct(m, word, step_limit=20_000)
+        if direct.outcome == "budget" and linear.reason != "loop":
+            # A long but finite run: the direct engine must finish once given room.
+            direct = run_direct(m, word, step_limit=2_000_000)
+        if direct.outcome == "budget":
+            assert (linear.outcome, linear.reason) == ("reject", "loop"), word
+        else:
+            want = (direct.outcome, _COOK_REASON.get(direct.reason, direct.reason))
             assert (linear.outcome, linear.reason) == want, (word, linear)
 
 

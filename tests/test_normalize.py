@@ -13,11 +13,14 @@ from pegmachine.pppda import (
     RIGHT_MARK,
     UP,
     builtin_anbncn,
+    builtin_loop,
+    builtin_sweep,
     check_normal,
     desugar_hat_moves,
     normalize,
     run_direct,
 )
+from pegmachine.translate import grammar_to_machine
 
 from conftest import all_words
 
@@ -89,6 +92,17 @@ def test_hat_desugar_shared_expansion_preserves_language():
     md = desugar_hat_moves(_machine_many_hats())
     for word in all_words("ab", 6):
         assert run_direct(md, word).outcome == "accept", word
+
+
+def test_hat_desugar_records_the_computed_verdict(fig2, sec13_union, sec13_abc):
+    # The verdict is recorded when the machine is built, so the engines'
+    # hat check does not walk δ; it must equal the one a walk computes.
+    machines = [grammar_to_machine(g) for g in (fig2, sec13_union, sec13_abc)]
+    for factory in (builtin_anbncn, builtin_loop, builtin_sweep, _machine_many_hats):
+        machines.append(desugar_hat_moves(factory()))
+    for m in machines:
+        assert "has_hat_moves" in vars(m)
+        assert m.has_hat_moves is any(mv.direction in HAT_DIRECTIONS for mv in m.delta.values())
 
 
 def _machine_pop_right() -> Machine:
