@@ -331,6 +331,7 @@ class MachineBuilder:
         self.states = Names("state name", states)
         self.stack_alphabet = Names("stack symbol", stack_alphabet)
         self.delta: dict[DeltaKey, Move] = {}
+        self._hats: dict[tuple[str, str], Move] = {}  # (target, direction) -> expansion
 
     @classmethod
     def like(cls, m: Machine) -> MachineBuilder:
@@ -356,6 +357,30 @@ class MachineBuilder:
         for a in self.input_alphabet:
             emit(q, a, z, move)
         emit(q, RIGHT_MARK, z, move)
+
+    def hat(self, target: str, direction: str) -> Move:
+        """The push that expands a hat move to ``target`` in ``direction``.
+
+        The push moves the head in the hat's core direction onto a fresh
+        symbol, which is then popped ``down`` whatever the letter, landing
+        in ``target`` with the stack as it was.  That pop depends on neither
+        the letter nor the symbol underneath, so the expansion is shared:
+        the first call for a (target, direction) registers one fresh state
+        ``hats:<target>:<direction>`` and one fresh symbol
+        ``hat:<target>:<direction>`` and emits their pops; later calls
+        return the same move.
+        """
+        push = self._hats.get((target, direction))
+        if push is None:
+            core = _HAT_CORE[direction]
+            sym = self.stack_alphabet.fresh(f"hat:{target}:{direction}")
+            mid = self.states.fresh(f"hats:{target}:{direction}")
+            push = self._hats[target, direction] = Move(mid, (sym,), core)
+            pop = Move(target, (), DOWN)
+            self.emit_any(mid, sym, pop)
+            if core != RIGHT:  # a hatdown/hatleft may pop on the marker
+                self.emit(mid, LEFT_MARK, sym, pop)
+        return push
 
     def dpda_move(
         self,

@@ -18,6 +18,23 @@
 The rewritten machine behaves identically whether started on the left end
 marker or directly on the first input cell with the bottom origin set to
 1, which is the convention the machine-to-grammar extraction relies on.
+
+After hat moves are expanded (:func:`desugar_hat_moves`, a no-op on a
+hat-free machine), ``normalize`` makes two passes over δ, each into one
+builder whose machine is validated: the first establishes properties 1-3,
+the second properties 4 and 5.  Fresh names are registered in this order:
+
+- ``hats:<target>:<dir>`` states and ``hat:<target>:<dir>`` symbols, one
+  per hat target and direction, in first-use order;
+- ``nr1:``/``nr2:`` states and ``nr:`` symbols, per pop moving right, in
+  δ order;
+- ``np:`` chain states, per multi-symbol push, in δ order;
+- the ``nz:init`` and ``nz:fin`` states and the outer bottom ``nz:#``.
+
+The second pass renames every state ``q`` to ``m:q``; a state that acts on
+the left end marker gets a begin-mode copy ``b:q``, a symbol pushed there
+a tagged variant ``[Z<]``, and the initial skip uses ``nz:skip`` and
+``nz:skip-sym``.  A name already taken is primed (``'``) until it is new.
 """
 
 from __future__ import annotations
@@ -32,46 +49,29 @@ from .machine import (
     Move,
     RIGHT,
     UP,
-    _HAT_CORE,
 )
 
 
 def desugar_hat_moves(m: Machine) -> Machine:
     """Expand each hat move into a fresh push plus letter-independent pops.
 
-    A hat move in direction ``d`` to state ``p`` pushes a fresh symbol while
-    moving ``d``, then pops it ``down`` whatever the letter, landing in
-    ``p`` with the stack as it was.  That pop depends on neither the letter
-    nor the symbol underneath, so the expansion is shared: one fresh state
-    and one fresh symbol per (target, direction), whatever the source.
+    The expansion is :meth:`MachineBuilder.hat`'s, shared by every hat move
+    with the same target and direction, whatever its source.
     """
     if not m.has_hat_moves:
         return m
     mb = MachineBuilder.like(m)
-    emit = mb.emit
-    expansions: dict[tuple[str, str], Move] = {}
+    emit, hat = mb.emit, mb.hat
     for (q, a, z), mv in m.delta.items():
-        target, _, direction = mv
-        if direction not in HAT_DIRECTIONS:
-            emit(q, a, z, mv)
-            continue
-        push = expansions.get((target, direction))
-        if push is None:
-            core = _HAT_CORE[direction]
-            sym = mb.stack_alphabet.fresh(f"hat:{target}:{direction}")
-            mid = mb.states.fresh(f"hats:{target}:{direction}")
-            push = expansions[target, direction] = Move(mid, (sym,), core)
-            pop = Move(target, (), DOWN)
-            mb.emit_any(mid, sym, pop)
-            if core != RIGHT:  # a hatdown/hatleft may pop on the marker
-                emit(mid, LEFT_MARK, sym, pop)
-        emit(q, a, z, push)
+        if mv.direction in HAT_DIRECTIONS:
+            mv = hat(mv.state, mv.direction)
+        emit(q, a, z, mv)
     out = mb.build()
     vars(out)["has_hat_moves"] = False  # record the verdict, so no engine walks δ for it
     return out
 
 
-# Fresh-name prefixes used by normalize; stage D state names.
+# Fresh-name prefixes used by normalize; the second pass's state names.
 def _norm(q: str) -> str:
     return "m:" + q
 
@@ -96,34 +96,42 @@ def normalize(m: Machine) -> Machine:
     if m.two_way:
         raise NotNormalError("normalize supports one-way machines only")
     m = desugar_hat_moves(m)
-    m = _stage_pop_directions(m)
-    m = _stage_single_push(m)
-    m = _stage_outer_bottom(m)
+    m = _stage_pops_pushes_bottom(m)
     m = _stage_leave_left_mark(m)
     check_normal(m)
     return m
 
 
-def _stage_pop_directions(m: Machine) -> Machine:
+def _stage_pops_pushes_bottom(m: Machine) -> Machine:
+    """The first pass: properties 1-3 in one pass over δ, into one builder.
+
+    Rows that already comply are copied.  A pop moving right becomes a
+    push moving right and two ``down`` pops through fresh ``nr`` names.
+    A push of several symbols becomes a push of its deepest symbol and a
+    chain of single ``down`` pushes through fresh ``np`` states; the chain
+    depends only on the target and the symbols, so it is emitted once per
+    (target, push).  The fresh outer bottom and its ``nz`` names come last.
+    Fresh names are registered in that order, ``nr`` then ``np`` then
+    ``nz``, each in δ order: the multi-symbol pushes are set aside during
+    the pass and rewritten after it.
+    """
     mb = MachineBuilder.like(m)
-    emit = mb.emit
+    emit, emit_any = mb.emit, mb.emit_any
+    pushes: list[tuple[str, str, str, Move]] = []  # set aside to keep the name order
     for (q, a, z), mv in m.delta.items():
         target, push, direction = mv
-        if push or direction == DOWN or direction == UP:
+        if len(push) > 1:
+            pushes.append((q, a, z, mv))
+        elif push or direction != RIGHT:
             emit(q, a, z, mv)
-            continue
-        # Pop moving right: shuffle one cell right, then pop down there.
-        sym = mb.stack_alphabet.fresh(f"nr:{q}:{a}:{z}")
-        mid1 = mb.states.fresh(f"nr1:{q}:{a}:{z}")
-        mid2 = mb.states.fresh(f"nr2:{q}:{a}:{z}")
-        emit(q, a, z, Move(mid1, (sym,), RIGHT))
-        mb.emit_any(mid1, sym, Move(mid2, (), DOWN))
-        mb.emit_any(mid2, z, Move(target, (), DOWN))
-    return mb.build()
+        else:  # Pop moving right: shuffle one cell right, then pop down there.
+            sym = mb.stack_alphabet.fresh(f"nr:{q}:{a}:{z}")
+            mid1 = mb.states.fresh(f"nr1:{q}:{a}:{z}")
+            mid2 = mb.states.fresh(f"nr2:{q}:{a}:{z}")
+            emit(q, a, z, Move(mid1, (sym,), RIGHT))
+            emit_any(mid1, sym, Move(mid2, (), DOWN))
+            emit_any(mid2, z, Move(target, (), DOWN))
 
-
-def _stage_single_push(m: Machine) -> Machine:
-    mb = MachineBuilder.like(m)
     chain_cache: dict[tuple[str, tuple[str, ...]], str] = {}
 
     def chain_state(target: str, remaining: tuple[str, ...]) -> str:
@@ -132,43 +140,37 @@ def _stage_single_push(m: Machine) -> Machine:
             chain_cache[key] = mb.states.fresh("np:" + target + ":" + ",".join(remaining))
         return chain_cache[key]
 
-    emit = mb.emit
-    for (q, a, z), mv in m.delta.items():
-        target, syms, direction = mv  # syms[0] is the top once everything is pushed
-        if len(syms) <= 1:
-            emit(q, a, z, mv)
-            continue
-        # Push the deepest symbol first on the original direction, then the
-        # rest one by one with down moves; all land at the same origin.
-        first = chain_state(target, syms[:-1])
-        emit(q, a, z, Move(first, (syms[-1],), direction))
+    def emit_chain(target: str, syms: tuple[str, ...]) -> str:
+        """Emit the links that push ``syms`` but the deepest; return the first state."""
         for i in range(len(syms) - 1, 0, -1):
             below = syms[i]  # symbol just pushed, inspected by the next link
             remaining = syms[:i]
             src = chain_state(target, remaining)
-            if len(remaining) == 1:
-                nxt: str = target
-            else:
-                nxt = chain_state(target, remaining[:-1])
+            nxt = target if i == 1 else chain_state(target, remaining[:-1])
             # The chain may run on the left end marker too (a down push
             # there keeps the head on it), so its links act there as well.
             link = Move(nxt, (remaining[-1],), DOWN)
-            mb.emit_any(src, below, link)
+            emit_any(src, below, link)
             emit(src, LEFT_MARK, below, link)
-    return mb.build()
+        return chain_state(target, syms[:-1])
 
+    # Push the deepest symbol first on the original direction, then the rest
+    # one by one with down moves; all land at the same origin.
+    heads: dict[tuple[str, tuple[str, ...]], str] = {}  # (target, push) -> first chain state
+    for q, a, z, (target, syms, direction) in pushes:  # syms[0] is the top once all are pushed
+        head = heads.get((target, syms))
+        if head is None:
+            head = heads[target, syms] = emit_chain(target, syms)
+        emit(q, a, z, Move(head, (syms[-1],), direction))
 
-def _stage_outer_bottom(m: Machine) -> Machine:
-    mb = MachineBuilder.like(m)
-    mb.delta.update(m.delta)
     nz = mb.stack_alphabet.fresh(NEW_BOTTOM)
     init = mb.states.fresh(_INIT)
     fin = mb.states.fresh(_FIN)
-    mb.emit(init, LEFT_MARK, nz, Move(m.initial_state, (m.bottom,), DOWN))
+    emit(init, LEFT_MARK, nz, Move(m.initial_state, (m.bottom,), DOWN))
     to_fin = Move(fin, (), DOWN)
     for f in m.finals:
-        mb.emit(f, LEFT_MARK, nz, to_fin)
-        mb.emit_any(f, nz, to_fin)
+        emit(f, LEFT_MARK, nz, to_fin)
+        emit_any(f, nz, to_fin)
     mb.initial_state, mb.bottom, mb.finals = init, nz, (fin,)
     return mb.build()
 
@@ -233,6 +235,7 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
 
     emit = mb.emit
     norm = {q: _norm(q) for q in m.states}
+    renamed: dict[Move, Move] = {}  # each distinct move, with its target renamed
     for (q, a, z), mv in m.delta.items():
         if a == LEFT_MARK:
             if q not in begin_states:
@@ -240,12 +243,13 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
             for variant in (z,) if z not in tagged_syms else (z, _tagged(z)):
                 mb.emit_any(_begin(q), variant, _begin_move(mv, tagged=variant != z))
             continue
-        target, push, direction = mv
-        out = Move(norm[target], push, direction)
+        out = renamed.get(mv)
+        if out is None:
+            out = renamed[mv] = Move(norm[mv.state], mv.push, mv.direction)
         emit(norm[q], a, z, out)
         if z in tagged_syms:
-            if not push and direction == UP:
-                out = Move(_begin(target), (), UP)
+            if not mv.push and mv.direction == UP:
+                out = Move(_begin(mv.state), (), UP)
             emit(norm[q], a, _tagged(z), out)
 
     init = mb.initial_state

@@ -13,7 +13,9 @@ Header lines declare the parts, then one transition per line::
 The letter slot is a quoted character, or bare ``<`` / ``>`` for the end
 markers.  The push string is ``-`` when empty; multiple symbols are
 comma-separated, and an unseparated token like ``XY`` is split into
-characters when every character is a declared symbol.  Directions are
+characters when it is not itself a declared symbol but every character
+is; the declared symbols are the bottom and every symbol in the stack
+symbol column, so a token reads the same on every line.  Directions are
 ``left down up right hatleft hatdown hatright``.  ``@meta key value``
 lines carry tool annotations and round-trip unchanged.
 """
@@ -131,34 +133,43 @@ def parse_machine_text(text: str) -> Machine:
     note_state, note_symbol = mb.states.note, gamma.note
 
     # First pass: collect declared stack symbols so push tokens can be split.
+    # Those are the bottom and every top symbol, as for the writer, so a
+    # push token reads the same on every line.
     for lineno, toks in body:
         if len(toks) != 7 or toks[3] != "->":
             raise MachineTextError(
                 "transition must be: state letter stacksym -> state pushstring dir", lineno
             )
         note_symbol(toks[2])
+    declared = set(gamma)
 
     note_state(initial)
     for q in finals:
         note_state(q)
     letters = {"<": LEFT_MARK, ">": RIGHT_MARK}  # letter tokens already read
+    # One move per distinct (target, push token, direction), built on its
+    # first line and shared by every later line that writes it.
+    moves: dict[tuple[str, str, str], Move] = {}
     for lineno, (q, letter_tok, z, _, q2, push_tok, direction) in body:
         a = letters.get(letter_tok)
         if a is None:
             a = letters[letter_tok] = _parse_letter(letter_tok, lineno)
             if a != LEFT_MARK and a != RIGHT_MARK:  # a quoted marker reads as the marker
                 alphabet.setdefault(a)
-        if direction not in _DIRS:
-            raise MachineTextError(f"bad direction {direction!r}", lineno)
-        push = _split_push(push_tok, gamma, lineno)
-        for sym in push:
-            note_symbol(sym)
+        move = moves.get((q2, push_tok, direction))
+        if move is None:
+            if direction not in _DIRS:
+                raise MachineTextError(f"bad direction {direction!r}", lineno)
+            push = _split_push(push_tok, declared, lineno)
+            for sym in push:
+                note_symbol(sym)
+            move = moves[q2, push_tok, direction] = Move(q2, push, direction)
         key = (q, a, z)
         if key in delta:
             raise MachineTextError(f"duplicate transition for {key!r}", lineno)
         note_state(q)
         note_state(q2)
-        delta[key] = Move(q2, push, direction)
+        delta[key] = move
 
     mb.input_alphabet = tuple(alphabet)
     return mb.build()

@@ -39,6 +39,7 @@ from .peg.interpret import accepts
 from .peg.wellformed import require_well_formed
 from .pppda.machine import (
     DOWN,
+    HAT_DIRECTIONS,
     HAT_DOWN,
     HAT_RIGHT,
     LEFT_MARK,
@@ -50,7 +51,7 @@ from .pppda.machine import (
     UP,
     run_direct,
 )
-from .pppda.normalize import check_normal, desugar_hat_moves, normalize
+from .pppda.normalize import check_normal, normalize
 
 META_KIND = "kind"
 META_KIND_COMPILED = "compiled-peg"
@@ -91,7 +92,11 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
     """Compile a well-formed normal-form grammar into a one-way machine.
 
     The output is hat-free and deterministic by construction; it accepts a
-    word exactly when the grammar does.
+    word exactly when the grammar does.  ``Empty`` and ``Terminal`` rules
+    move by hat moves, expanded as they are emitted by
+    :meth:`MachineBuilder.hat`.  Every rule's states and frame symbols are
+    registered before any row is emitted, so the fresh hat names follow
+    all of them, in first-use order.
     """
     if not isinstance(g, CnfGrammar):
         g = CnfGrammar(g.nonterminals, g.alphabet, g.rules, g.axiom)
@@ -125,61 +130,69 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
             mb.emit_any(q, _nt_sym(name), Move(q, (), DOWN))
     emit(_signed(g.axiom, "+"), RIGHT_MARK, _BOTTOM, Move(_FINAL, (), DOWN))
 
+    # (state, letter or None for every letter, top symbol, move) of every rule.
+    rows: list[tuple[str, str | None, str, Move]] = []
     for name in g.nonterminals:
         body = g.rules[name]
         a_sym = _nt_sym(name)
         ok, fail = _signed(name, "+"), _signed(name, "-")
-        # (state, top symbol, move) of the rule's letter-independent moves.
-        rows: list[tuple[str, str, Move]]
         if isinstance(body, Sequence):
             b, c = body.left.name, body.right.name
             f1, f2 = mb.stack_alphabet.add(_frame(name, 1)), mb.stack_alphabet.add(_frame(name, 2))
             q2, q2m = mb.states.add(_aux(name, "2")), mb.states.add(_aux(name, "2-"))
-            rows = [
-                (_WORK, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
-                (_signed(b, "+"), f1, Move(_WORK, (_nt_sym(c), f2), DOWN)),
-                (_signed(b, "-"), f1, Move(fail, (), UP)),
-                (_signed(c, "+"), f2, Move(q2, (), DOWN)),
-                (q2, f1, Move(ok, (), DOWN)),
-                (_signed(c, "-"), f2, Move(q2m, (), UP)),
-                (q2m, f1, Move(fail, (), UP)),
+            rows += [
+                (_WORK, None, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
+                (_signed(b, "+"), None, f1, Move(_WORK, (_nt_sym(c), f2), DOWN)),
+                (_signed(b, "-"), None, f1, Move(fail, (), UP)),
+                (_signed(c, "+"), None, f2, Move(q2, (), DOWN)),
+                (q2, None, f1, Move(ok, (), DOWN)),
+                (_signed(c, "-"), None, f2, Move(q2m, (), UP)),
+                (q2m, None, f1, Move(fail, (), UP)),
             ]
         elif isinstance(body, Choice):
             b, c = body.first.name, body.second.name
             f1, f2 = mb.stack_alphabet.add(_frame(name, 1)), mb.stack_alphabet.add(_frame(name, 2))
             q2 = mb.states.add(_aux(name, "2"))
-            rows = [
-                (_WORK, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
-                (_signed(b, "+"), f1, Move(ok, (), DOWN)),
-                (_signed(b, "-"), f1, Move(q2, (), UP)),
+            rows += [
+                (_WORK, None, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
+                (_signed(b, "+"), None, f1, Move(ok, (), DOWN)),
+                (_signed(b, "-"), None, f1, Move(q2, (), UP)),
                 # After the up pop the rule's own nonterminal is on top again.
-                (q2, a_sym, Move(_WORK, (_nt_sym(c), f2), DOWN)),
-                (_signed(c, "+"), f2, Move(ok, (), DOWN)),
-                (_signed(c, "-"), f2, Move(fail, (), UP)),
+                (q2, None, a_sym, Move(_WORK, (_nt_sym(c), f2), DOWN)),
+                (_signed(c, "+"), None, f2, Move(ok, (), DOWN)),
+                (_signed(c, "-"), None, f2, Move(fail, (), UP)),
             ]
         elif isinstance(body, Not):
             b = body.inner.name
             f1 = mb.stack_alphabet.add(_frame(name, 1))
-            rows = [
-                (_WORK, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
-                (_signed(b, "+"), f1, Move(fail, (), UP)),
-                (_signed(b, "-"), f1, Move(ok, (), UP)),
+            rows += [
+                (_WORK, None, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
+                (_signed(b, "+"), None, f1, Move(fail, (), UP)),
+                (_signed(b, "-"), None, f1, Move(ok, (), UP)),
             ]
         elif isinstance(body, Empty):
-            rows = [(_WORK, a_sym, Move(ok, (), HAT_DOWN))]
+            rows.append((_WORK, None, a_sym, Move(ok, (), HAT_DOWN)))
         elif isinstance(body, Terminal):
-            emit(_WORK, body.symbol, a_sym, Move(ok, (), HAT_RIGHT))
+            rows.append((_WORK, body.symbol, a_sym, Move(ok, (), HAT_RIGHT)))
             mismatch = Move(fail, (), HAT_DOWN)
-            for a in (*g.alphabet, RIGHT_MARK):
-                if a != body.symbol:
-                    emit(_WORK, a, a_sym, mismatch)
-            continue
+            rows += [
+                (_WORK, a, a_sym, mismatch)
+                for a in (*g.alphabet, RIGHT_MARK) if a != body.symbol
+            ]
         else:  # pragma: no cover - shape checked above
             raise NotCnfError(f"unexpected body {body!r}")
-        for q, z, move in rows:
-            mb.emit_any(q, z, move)
 
-    return desugar_hat_moves(mb.build())
+    hat = mb.hat
+    for q, a, z, move in rows:
+        if move.direction in HAT_DIRECTIONS:
+            move = hat(move.state, move.direction)
+        if a is None:
+            mb.emit_any(q, z, move)
+        else:
+            emit(q, a, z, move)
+    out = mb.build()
+    vars(out)["has_hat_moves"] = False  # record the verdict, so no engine walks δ for it
+    return out
 
 
 def grammar_to_machine(g: Grammar) -> Machine:

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import FIG2_TEXT, dfa_pairs, dpda_anbn, dpda_cmd, dpda_single
 from pegmachine import cli
 from pegmachine.closures import render_dfa_text, render_dpda_text
-from pegmachine.pppda import builtin_sweep, render_machine_text
+from pegmachine.pppda import builtin_anbncn, builtin_loop, builtin_sweep, render_machine_text
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -293,6 +294,28 @@ def test_bench_triple_block_family(tmp_path):
     proc0 = run_cli("bench", str(mach), "--family", "abc", "--sizes", "0")
     assert proc0.returncode == 0
     assert proc0.stdout.splitlines()[1].startswith("0\t")
+
+
+@pytest.mark.parametrize("builtin", [builtin_anbncn, builtin_loop])
+def test_bench_assert_linear_passes_linear_or_better_cost(builtin, tmp_path, capsys):
+    """An affine cost at small n, or a detected loop's constant cost, is not divergence."""
+    mach = tmp_path / "m.mach"
+    mach.write_text(render_machine_text(builtin()))
+    argv = ["bench", str(mach), "--family", "a", "--sizes", "5,10,20", "--assert-linear"]
+    assert exit_code(argv) == 0
+    out = capsys.readouterr().out
+    assert "ratio 10/5" in out and "linearity assertion failed" not in out
+
+
+def test_bench_assert_linear_fails_superlinear_cost(tmp_path, monkeypatch, capsys):
+    real = cli.run_linear
+    monkeypatch.setattr(cli, "run_linear", lambda m, w: replace(real(m, w), ops=len(w) ** 2))
+    mach = tmp_path / "anbncn.mach"
+    mach.write_text(ANBNCN_SOURCE)
+    argv = ["bench", str(mach), "--family", "a", "--sizes", "5,10", "--assert-linear"]
+    assert exit_code(argv) == 4
+    out = capsys.readouterr().out
+    assert "ratio 10/5 = 4.000" in out and "linearity assertion failed" in out
 
 
 def test_fuzz_reproducible():

@@ -1,0 +1,100 @@
+"""Golden outputs: SHA-256 digests of what the constructions print.
+
+Each case runs one command through ``cli.main`` on files written to a
+temporary directory and pins the digest of its standard output: the
+compiled machine, its normal form and the grammar extracted from it for
+the reference grammars, and the normal form of each built-in machine.
+The machine commands read the compiled ``.mach`` text, so the file reader
+and writer are pinned along with the constructions.
+
+A change that is meant to alter a construction's output (a new state
+name, another transition order) updates the digests here and says so,
+with the reason, in ``CHANGES.md``.  Any other change must leave them
+as they are.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from conftest import FIG2_TEXT, SEC13_ABC_TEXT, SEC13_UNION_TEXT
+from pegmachine import cli
+from pegmachine.pppda import (
+    builtin_anbncn,
+    builtin_loop,
+    builtin_sweep,
+    render_machine_text,
+)
+
+GRAMMARS = {"fig2": FIG2_TEXT, "sec13_union": SEC13_UNION_TEXT, "sec13_abc": SEC13_ABC_TEXT}
+BUILTINS = {"anbncn": builtin_anbncn, "loop": builtin_loop, "sweep": builtin_sweep}
+
+GRAMMAR_DIGESTS = {
+    ("fig2", "compile"): (
+        "2ca93a1157ad8fde69bc52fd16ef6b249588e0ac6d45b933ff81b74ea9ca9805"
+    ),
+    ("fig2", "normalize"): (
+        "c82615ec9e33d70affde103f2f94be1817fd0385a9fa52bfa0411e7427f22b7c"
+    ),
+    ("fig2", "extract"): (
+        "244eb3e299f40a661bea92f2634ab1a44bc8e1580ff9e40c96b3f4be206e4a7c"
+    ),
+    ("sec13_union", "compile"): (
+        "64dc9d3cd5c0bb9ef937a63f1a26a8e5e8b8cb26ec208ff1b09aba9d0d5cfcfb"
+    ),
+    ("sec13_union", "normalize"): (
+        "70e86e115e90e61676c6b99f4d7b07bb0f6bfc09d3cfed725c7ef98c7bcf149e"
+    ),
+    ("sec13_union", "extract"): (
+        "f894c72488ce5a0a358750a434b0f127c8b4fa0301fb5bb4c10a279ff7dfbbbc"
+    ),
+    ("sec13_abc", "compile"): (
+        "b1ff1275e4e1d0318e02f546926d1c0c1303d6c717fc342a85b0a202d63b1c2c"
+    ),
+    ("sec13_abc", "normalize"): (
+        "17fe3a6cc7933b82736bc2a31eddacded5d573c760c9e782f998d6c7515b8566"
+    ),
+    ("sec13_abc", "extract"): (
+        "1faaed7e0292c0383de80e5d9317dfaeaa9ca69c6d1d38168d5994212fc7a345"
+    ),
+}
+
+BUILTIN_DIGESTS = {
+    "anbncn": "a11fcd4ce7b340d7251fba25d1e3b0799a4a7a01d7e01f54f6bcf7ed36ccbbea",
+    "loop": "c1d5c170025fdcc3b76c8418248aeca3fbe6222ca4b87b52711e0b81ef8bb02e",
+    "sweep": "788952e039a4ba8e7474b166eb3c3f5b04cdbad0b981bba826d3933693922a1d",
+}
+
+
+def _output(capsys, *argv: str) -> str:
+    capsys.readouterr()
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GRAMMARS))
+def test_grammar_outputs_are_pinned(name, tmp_path, capsys):
+    peg = tmp_path / f"{name}.peg"
+    peg.write_text(GRAMMARS[name])
+    mach = tmp_path / f"{name}.mach"
+    mach.write_text(_output(capsys, "compile", str(peg)))
+    outputs = {
+        "compile": mach.read_text(),
+        "normalize": _output(capsys, "normalize", str(mach)),
+        "extract": _output(capsys, "extract", str(mach)),
+    }
+    got = {command: _digest(text) for command, text in outputs.items()}
+    assert got == {command: GRAMMAR_DIGESTS[name, command] for command in outputs}
+
+
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_builtin_normal_forms_are_pinned(name, tmp_path, capsys):
+    mach = tmp_path / f"{name}.mach"
+    mach.write_text(render_machine_text(BUILTINS[name]()))
+    assert _digest(_output(capsys, "normalize", str(mach))) == BUILTIN_DIGESTS[name]

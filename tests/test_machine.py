@@ -23,6 +23,7 @@ from pegmachine.pppda import (
     run_direct,
     step,
 )
+from pegmachine.translate import grammar_to_machine
 
 ANBNCN_SOURCE = """\
 @twoway no
@@ -296,6 +297,34 @@ def test_multichar_push_roundtrip():
     )
     again = parse_machine_text(render_machine_text(m))
     assert again.delta[("q", "a", "Z")].push == ("X1", "X2")
+
+
+def test_push_token_reads_the_same_on_every_line():
+    # ``XY`` is pushed but never on top, so the writer leaves it bare; the
+    # push-only ``X`` of an earlier line must not split it into X, Y.
+    m = Machine(
+        states=("q",),
+        input_alphabet=("a",),
+        stack_alphabet=("Y", "X", "XY"),
+        finals=(),
+        initial_state="q",
+        bottom="Y",
+        delta={
+            ("q", "a", "Y"): Move("q", ("X",), RIGHT),
+            ("q", RIGHT_MARK, "Y"): Move("q", ("XY",), DOWN),
+        },
+    )
+    text = render_machine_text(m)
+    assert "q > Y -> q XY down" in text
+    assert parse_machine_text(text) == m
+
+
+def test_reader_builds_one_move_per_distinct_move(fig2):
+    text = render_machine_text(grammar_to_machine(fig2))
+    m = parse_machine_text(text)
+    moves = list(m.delta.values())
+    assert len({id(mv) for mv in moves}) == len(set(moves)) < len(moves)
+    assert render_machine_text(m) == text
 
 
 # --- the machine builder -----------------------------------------------------------

@@ -8,6 +8,7 @@ from pegmachine.pppda import (
     HAT_RIGHT,
     LEFT_MARK,
     Machine,
+    MachineBuilder,
     Move,
     RIGHT,
     RIGHT_MARK,
@@ -98,6 +99,8 @@ def test_hat_desugar_records_the_computed_verdict(fig2, sec13_union, sec13_abc):
     # The verdict is recorded when the machine is built, so the engines'
     # hat check does not walk δ; it must equal the one a walk computes.
     machines = [grammar_to_machine(g) for g in (fig2, sec13_union, sec13_abc)]
+    for m in machines:  # compile expands its hat moves as it emits them
+        assert not any(mv.direction in HAT_DIRECTIONS for mv in m.delta.values())
     for factory in (builtin_anbncn, builtin_loop, builtin_sweep, _machine_many_hats):
         machines.append(desugar_hat_moves(factory()))
     for m in machines:
@@ -169,6 +172,53 @@ def test_normalize_structural_properties():
             assert mv.direction == DOWN
     left_entries = [k for k in norm.delta if k[1] == LEFT_MARK]
     assert len(left_entries) == 1  # only the initial skip reads the left marker
+
+
+def _machine_shared_push_and_pop_right() -> Machine:
+    # The same two-symbol push to ``q`` from two sources, the first of them
+    # before a pop that moves right in δ order.
+    return Machine(
+        states=("q", "p", "f"),
+        input_alphabet=("a", "b"),
+        stack_alphabet=("Z", "X", "Y"),
+        finals=("f",),
+        initial_state="q",
+        bottom="Z",
+        delta={
+            ("q", LEFT_MARK, "Z"): Move("q", ("X", "Y"), RIGHT),
+            ("q", "a", "X"): Move("p", (), RIGHT),
+            ("p", "b", "Y"): Move("q", ("X", "Y"), RIGHT),
+            ("p", RIGHT_MARK, "Y"): Move("f", (), DOWN),
+            ("f", RIGHT_MARK, "Z"): Move("f", (), DOWN),
+        },
+    )
+
+
+def test_normalize_registers_fresh_names_in_stage_order(monkeypatch):
+    """``nr`` names, then ``np`` names, then ``nz`` names; one chain per push."""
+    emitted: list[tuple[str, str, str]] = []
+    emit = MachineBuilder.emit
+
+    def counting_emit(self, q, a, z, move):
+        emitted.append((q, a, z))
+        emit(self, q, a, z, move)
+
+    monkeypatch.setattr(MachineBuilder, "emit", counting_emit)
+    m = _machine_shared_push_and_pop_right()
+    norm = normalize(m)
+    check_normal(norm)
+    assert norm.states == (
+        "m:q", "b:q", "m:p", "m:f", "m:nr1:q:a:X", "m:nr2:q:a:X", "m:np:q:X",
+        "m:nz:init", "b:nz:init", "m:nz:fin", "nz:skip",
+    )
+    assert norm.stack_alphabet == ("Z", "X", "Y", "nr:q:a:X", "nz:#", "[Z<]", "nz:skip-sym")
+    assert len(norm.delta) == 30
+    # Both pushes enter the one chain, whose links were emitted once each.
+    assert norm.delta[("m:p", "b", "Y")] == Move("m:np:q:X", ("Y",), RIGHT)
+    links = [key for key in emitted if key[0] == "np:q:X"]
+    assert len(links) == len(set(links)) == 4  # "a", "b", ">" and "<"
+    for word in all_words("ab", 6):
+        assert run_direct(norm, word).outcome == run_direct(m, word).outcome, word
 
 
 def test_normalize_max_push_length_one():
