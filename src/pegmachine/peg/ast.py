@@ -4,16 +4,23 @@ Expressions form a tree of frozen nodes.  The core forms are Empty,
 Terminal, Nonterminal, Sequence, Choice and Not; Star, Plus, Option, And,
 AnyChar and Fail are sugar that :func:`pegmachine.peg.transform.desugar`
 rewrites into core forms.  Every node carries an integer node id ``nid``
-that is unique and dense (``0 .. node_count-1``) within one grammar; ids
-are assigned by :meth:`Grammar.build` in rule order, pre-order within each
-rule body.  Node equality is structural and ignores ids.
+that is unique and dense (``0 .. node_count-1``) within one grammar.
+Node equality is structural and ignores ids.
+
+Ids are assigned in one place: :meth:`Grammar.build` copies every rule
+body once, in rule order, numbering its nodes in pre-order
+(:func:`_number`).  The same pass gathers the alphabet, the referenced
+names, ``node_count`` and ``is_core``, so a built grammar is never walked
+again to check or measure it.  Nodes made elsewhere (by the text parser,
+the rewrites or the extraction) carry id -1 until they are built into a
+grammar.  Node types have no subclasses, so the walkers here dispatch on
+``type(e)``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Mapping, Sequence as SeqT
 
 from ..errors import GrammarInvariantError, NotCnfError
@@ -102,15 +109,17 @@ class Fail(Expression):
     nid: int = field(default=-1, compare=False)
 
 
-_CORE_TYPES = (Empty, Terminal, Nonterminal, Sequence, Choice, Not)
+_CORE_TYPES = frozenset((Empty, Terminal, Nonterminal, Sequence, Choice, Not))
+_UNARY_TYPES = frozenset((Not, Star, Plus, Option, And))
 
 
 def children(e: Expression) -> tuple[Expression, ...]:
-    if isinstance(e, Sequence):
+    t = type(e)
+    if t is Sequence:
         return (e.left, e.right)
-    if isinstance(e, Choice):
+    if t is Choice:
         return (e.first, e.second)
-    if isinstance(e, (Not, Star, Plus, Option, And)):
+    if t in _UNARY_TYPES:
         return (e.inner,)
     return ()
 
@@ -121,25 +130,22 @@ def walk(e: Expression) -> Iterator[Expression]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(children(node)))
+        t = type(node)
+        if t is Sequence:
+            stack += (node.right, node.left)
+        elif t is Choice:
+            stack += (node.second, node.first)
+        elif t in _UNARY_TYPES:
+            stack.append(node.inner)
 
 
 def is_core_expr(e: Expression) -> bool:
-    return all(isinstance(n, _CORE_TYPES) for n in walk(e))
-
-
-def letters_of(e: Expression) -> list[str]:
-    """Terminal letters appearing in ``e``, in first-appearance order."""
-    seen: list[str] = []
-    for n in walk(e):
-        if isinstance(n, Terminal) and n.symbol not in seen:
-            seen.append(n.symbol)
-    return seen
+    return all(type(n) in _CORE_TYPES for n in walk(e))
 
 
 def references_of(e: Expression) -> list[str]:
     """Referenced nonterminal names, in first-appearance order."""
-    return list(dict.fromkeys(n.name for n in walk(e) if isinstance(n, Nonterminal)))
+    return list(dict.fromkeys(n.name for n in walk(e) if type(n) is Nonterminal))
 
 
 def reachable_from(rules: Mapping[str, Expression], axiom: str) -> set[str]:
@@ -154,19 +160,53 @@ def reachable_from(rules: Mapping[str, Expression], axiom: str) -> set[str]:
     return keep
 
 
-def _renumber(e: Expression, counter: Iterator[int]) -> Expression:
-    nid = next(counter)
-    if isinstance(e, Sequence):
-        return Sequence(_renumber(e.left, counter), _renumber(e.right, counter), nid)
-    if isinstance(e, Choice):
-        return Choice(_renumber(e.first, counter), _renumber(e.second, counter), nid)
-    if isinstance(e, (Not, Star, Plus, Option, And)):
-        return type(e)(_renumber(e.inner, counter), nid)
-    if isinstance(e, Terminal):
-        return Terminal(e.symbol, nid)
-    if isinstance(e, Nonterminal):
-        return Nonterminal(e.name, nid)
-    return type(e)(nid)
+def _number(
+    body: Expression, nid: int, letters: dict[str, None], refs: dict[str, None]
+) -> tuple[Expression, int, bool]:
+    """Copy ``body`` with pre-order ids from ``nid``: (copy, next id, core-only).
+
+    One pass: the first loop lists the nodes in pre-order and adds the
+    body's letters and referenced names to ``letters`` and ``refs`` in
+    first-appearance order; the second builds the copies bottom-up, from
+    the end of that list, where every node's children are already built.
+    """
+    order: list[Expression] = []
+    core = True
+    stack = [body]
+    while stack:
+        e = stack.pop()
+        order.append(e)
+        t = type(e)
+        if t is Terminal:
+            letters[e.symbol] = None
+        elif t is Nonterminal:
+            refs[e.name] = None
+        elif t is Sequence:
+            stack += (e.right, e.left)
+        elif t is Choice:
+            stack += (e.second, e.first)
+        elif t in _UNARY_TYPES:
+            stack.append(e.inner)
+            core = core and t is Not
+        elif t is not Empty:
+            core = False
+    built: list[Expression] = []
+    k = nid + len(order)
+    for e in reversed(order):
+        k -= 1
+        t = type(e)
+        if t is Terminal:
+            built.append(Terminal(e.symbol, k))
+        elif t is Nonterminal:
+            built.append(Nonterminal(e.name, k))
+        elif t is Sequence or t is Choice:
+            first = built.pop()
+            built[-1] = t(first, built[-1], k)
+        elif t in _UNARY_TYPES:
+            built[-1] = t(built[-1], k)
+        else:
+            built.append(t(k))
+    return built[0], nid + len(order), core
 
 
 # --- recognition outcomes ---------------------------------------------------
@@ -206,14 +246,39 @@ class Grammar:
 
     Immutable after construction; construct through :meth:`build` (or the
     text parser), which assigns dense node ids and validates the invariants.
+    A grammar constructed directly is checked node by node instead.
+    ``node_count`` and ``is_core`` are recorded by whichever check ran.
     """
 
     nonterminals: tuple[str, ...]
     alphabet: tuple[str, ...]
     rules: Mapping[str, Expression]
     axiom: str
+    node_count: int = field(init=False, repr=False, compare=False)
+    is_core: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._check_header()
+        rules, sigma = self.rules, set(self.alphabet)
+        nids: list[int] = []
+        core = True
+        for name in self.nonterminals:
+            for n in walk(rules[name]):
+                nids.append(n.nid)
+                t = type(n)
+                if t is Nonterminal and n.name not in rules:
+                    raise GrammarInvariantError(f"undefined nonterminal {n.name!r}")
+                if t is Terminal and n.symbol not in sigma:
+                    raise GrammarInvariantError(f"letter {n.symbol!r} not in alphabet")
+                core = core and t in _CORE_TYPES
+        if sorted(nids) != list(range(len(nids))):
+            raise GrammarInvariantError("node ids must be dense and unique")
+        self._check_shapes()
+        object.__setattr__(self, "node_count", len(nids))
+        object.__setattr__(self, "is_core", core)
+
+    def _check_header(self) -> None:
+        """The invariants that do not look inside rule bodies."""
         names = self.nonterminals
         if len(set(names)) != len(names):
             raise GrammarInvariantError("duplicate nonterminal in ordering")
@@ -226,54 +291,54 @@ class Grammar:
                 raise GrammarInvariantError(f"bad alphabet letter {ch!r}")
         if set(names) & set(self.alphabet):
             raise GrammarInvariantError("nonterminal names and alphabet must be disjoint")
-        sigma = set(self.alphabet)
-        nids: list[int] = []
-        for name in names:
-            for n in walk(self.rules[name]):
-                nids.append(n.nid)
-                if isinstance(n, Nonterminal) and n.name not in self.rules:
-                    raise GrammarInvariantError(f"undefined nonterminal {n.name!r}")
-                if isinstance(n, Terminal) and n.symbol not in sigma:
-                    raise GrammarInvariantError(f"letter {n.symbol!r} not in alphabet")
-        if sorted(nids) != list(range(len(nids))):
-            raise GrammarInvariantError("node ids must be dense and unique")
 
-    @staticmethod
+    def _check_shapes(self) -> None:
+        """Invariants a subclass adds on rule shapes; a plain grammar has none."""
+
+    @classmethod
     def build(
+        cls,
         rules: SeqT[tuple[str, Expression]],
         axiom: str | None = None,
         alphabet: SeqT[str] = (),
     ) -> "Grammar":
-        """Assemble a grammar, renumbering node ids and computing the alphabet.
+        """Assemble a grammar, numbering node ids and computing the alphabet.
 
         The alphabet is the declared letters followed by any further letters
-        appearing in rule bodies, in first-appearance order.
+        appearing in rule bodies, in first-appearance order.  Each body is
+        copied once by :func:`_number`; its ids are dense and its letters in
+        the alphabet by construction, so only the references and the
+        invariants outside the bodies are left to check.
         """
         names = tuple(name for name, _ in rules)
         if len(set(names)) != len(names):
             dup = next(n for i, n in enumerate(names) if n in names[:i])
             raise GrammarInvariantError(f"duplicate rule for {dup!r}")
-        counter = iter(range(10**9))
-        numbered = {name: _renumber(body, counter) for name, body in rules}
-        sigma = list(alphabet)
-        for name in names:
-            for ch in letters_of(numbered[name]):
-                if ch not in sigma:
-                    sigma.append(ch)
-        return Grammar(
-            nonterminals=names,
-            alphabet=tuple(sigma),
-            rules=numbered,
-            axiom=axiom if axiom is not None else names[0],
-        )
-
-    @cached_property
-    def node_count(self) -> int:
-        return sum(1 for name in self.nonterminals for _ in walk(self.rules[name]))
-
-    @cached_property
-    def is_core(self) -> bool:
-        return all(is_core_expr(self.rules[name]) for name in self.nonterminals)
+        declared = tuple(alphabet)
+        letters = dict.fromkeys(declared)
+        known = len(letters)
+        refs: dict[str, None] = {}
+        numbered: dict[str, Expression] = {}
+        nid, core = 0, True
+        for name, body in rules:
+            numbered[name], nid, body_core = _number(body, nid, letters, refs)
+            core = core and body_core
+        g = object.__new__(cls)
+        for attr, value in (
+            ("nonterminals", names),
+            ("alphabet", declared + tuple(letters)[known:]),
+            ("rules", numbered),
+            ("axiom", axiom if axiom is not None else names[0]),
+            ("node_count", nid),
+            ("is_core", core),
+        ):
+            object.__setattr__(g, attr, value)
+        g._check_header()
+        for ref in refs:
+            if ref not in numbered:
+                raise GrammarInvariantError(f"undefined nonterminal {ref!r}")
+        g._check_shapes()
+        return g
 
 
 class CnfGrammar(Grammar):
@@ -281,40 +346,31 @@ class CnfGrammar(Grammar):
 
     Every body is one of ``Choice(N, N)``, ``Sequence(N, N)``, ``Not(N)``,
     ``Terminal`` or ``Empty``, and the axiom never appears on a right-hand
-    side.  The constructor re-checks the shape, so holding a value of this
-    type certifies it.
+    side.  Construction checks the shapes, so holding a value of this type
+    certifies it.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _check_shapes(self) -> None:
         for name in self.nonterminals:
             body = self.rules[name]
             if not cnf_body_shape_ok(body):
                 raise NotCnfErrorFor(name, body)
-            if self.axiom in references_of(body):
+            if any(ref.name == self.axiom for ref in children(body)):
                 raise GrammarInvariantError(
                     f"axiom {self.axiom!r} occurs on the right-hand side of {name!r}"
                 )
 
-    @staticmethod
-    def build(  # type: ignore[override]
-        rules: SeqT[tuple[str, Expression]],
-        axiom: str | None = None,
-        alphabet: SeqT[str] = (),
-    ) -> "CnfGrammar":
-        g = Grammar.build(rules, axiom, alphabet)
-        return CnfGrammar(g.nonterminals, g.alphabet, g.rules, g.axiom)
-
 
 def cnf_body_shape_ok(body: Expression) -> bool:
-    if isinstance(body, (Terminal, Empty)):
+    t = type(body)
+    if t is Terminal or t is Empty:
         return True
-    if isinstance(body, Not):
-        return isinstance(body.inner, Nonterminal)
-    if isinstance(body, Sequence):
-        return isinstance(body.left, Nonterminal) and isinstance(body.right, Nonterminal)
-    if isinstance(body, Choice):
-        return isinstance(body.first, Nonterminal) and isinstance(body.second, Nonterminal)
+    if t is Not:
+        return type(body.inner) is Nonterminal
+    if t is Sequence:
+        return type(body.left) is Nonterminal and type(body.right) is Nonterminal
+    if t is Choice:
+        return type(body.first) is Nonterminal and type(body.second) is Nonterminal
     return False
 
 

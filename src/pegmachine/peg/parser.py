@@ -6,13 +6,18 @@ double quotes, ``""`` is the empty word.  Operators, loosest to tightest:
 postfix ``*`` ``+`` ``?``.  ``.`` matches any letter, ``(...)`` groups and
 ``#`` starts a comment.  The first rule's left-hand side is the axiom
 unless a ``@start Name`` line appears; ``@alphabet "abc"`` declares extra
-letters.  Names are identifiers; generated names that are not identifiers
-are written between backquotes.
+letters.  A directive is the first word of its line, so ``@startS`` is an
+unknown directive.  Names are identifiers; generated names that are not
+identifiers are written between backquotes.
+
+Each line is cut into tokens by one regular expression and parsed with an
+explicit stack, so neither long rules nor deep nesting recurse.  A
+reference to an undefined name is reported at its first occurrence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from ..errors import GrammarTextError
 from .ast import (
@@ -29,163 +34,145 @@ from .ast import (
     Sequence,
     Star,
     Terminal,
-    references_of,
 )
 
+# One token per match, after any blanks.  The group that matched tells the
+# kind; a line's tokens are contiguous because group 9 takes any character
+# the others do not.
+_TOKEN = re.compile(
+    r"[ \t]*(?:"
+    r"(\w+)"  # 1 identifier
+    r'|"([^"]*)("?)'  # 2 terminal, 3 its closing quote
+    r"|`([^`]*)(`?)"  # 4 backquoted name, 5 its closing quote
+    r"|(<-)"  # 6 arrow
+    r"|([/!&*+?.()])"  # 7 operator
+    r"|(#)"  # 8 comment
+    r"|([^ \t]))"  # 9 any other character
+)
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # ident name string op
-    text: str
-    col: int
+# A directive line up to its comment: '#' counts only outside quotes.
+_DIRECTIVE = re.compile(r'(?:[^"`#]+|"[^"]*"?|`[^`]*`?)*')
+
+# A token is (kind, text, column).  The kind of an operator or the arrow
+# is its text; identifiers and backquoted names are "name".
+Token = tuple[str, str, int]
+
+_STARTS_OPERAND = frozenset(("name", "string", "!", "&", ".", "("))
+_POSTFIX = {"*": Star, "+": Plus, "?": Option}
 
 
-_OPS = set("/!&*+?.()")
-
-
-def _tokenize(line: str, lineno: int) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        col = i + 1
-        if ch == "<" and line.startswith("<-", i):
-            toks.append(_Tok("arrow", "<-", col))
-            i += 2
-        elif ch == '"':
-            j = line.find('"', i + 1)
-            if j < 0:
+def _tokenize(line: str, lineno: int) -> list[Token]:
+    toks: list[Token] = []
+    for m in _TOKEN.finditer(line):
+        group = m.lastindex
+        if group == 1:
+            toks.append(("name", m[1], m.start(1) + 1))
+        elif group == 7:
+            toks.append((m[7], m[7], m.start(7) + 1))
+        elif group == 3:
+            col = m.start(2)
+            if not m[3]:
                 raise GrammarTextError("unterminated string literal", lineno, col)
-            body = line[i + 1 : j]
-            if len(body) > 1:
+            if len(m[2]) > 1:
                 raise GrammarTextError(
-                    f"terminals are single characters, got {body!r}", lineno, col
+                    f"terminals are single characters, got {m[2]!r}", lineno, col
                 )
-            toks.append(_Tok("string", body, col))
-            i = j + 1
-        elif ch == "`":
-            j = line.find("`", i + 1)
-            if j < 0:
+            toks.append(("string", m[2], col))
+        elif group == 5:
+            col = m.start(4)
+            if not m[5]:
                 raise GrammarTextError("unterminated backquoted name", lineno, col)
-            if j == i + 1:
+            if not m[4]:
                 raise GrammarTextError("empty backquoted name", lineno, col)
-            toks.append(_Tok("name", line[i + 1 : j], col))
-            i = j + 1
-        elif ch in _OPS:
-            toks.append(_Tok("op", ch, col))
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", line[i:j], col))
-            i = j
-        else:
-            raise GrammarTextError(f"unexpected character {ch!r}", lineno, col)
+            toks.append(("name", m[4], col))
+        elif group == 6:
+            toks.append(("<-", "<-", m.start(6) + 1))
+        elif group == 8:
+            break
+        elif group == 9:
+            raise GrammarTextError(f"unexpected character {m[9]!r}", lineno, m.start(9) + 1)
     return toks
 
 
-class _ExprParser:
-    def __init__(self, toks: list[_Tok], lineno: int):
-        self.toks = toks
-        self.pos = 0
-        self.lineno = lineno
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def error(self, msg: str) -> GrammarTextError:
-        tok = self.peek()
-        col = tok.col if tok else (self.toks[-1].col if self.toks else 1)
-        return GrammarTextError(msg, self.lineno, col)
-
-    def parse(self) -> Expression:
-        e = self.choice()
-        if self.peek() is not None:
-            raise self.error(f"trailing input at {self.peek().text!r}")
-        return e
-
-    def choice(self) -> Expression:
-        parts = [self.sequence()]
-        while (tok := self.peek()) and tok.kind == "op" and tok.text == "/":
-            self.pos += 1
-            parts.append(self.sequence())
-        e = parts[-1]
-        for part in reversed(parts[:-1]):
-            e = Choice(part, e)
-        return e
-
-    def sequence(self) -> Expression:
-        parts = [self.prefix()]
-        while (tok := self.peek()) is not None and self._starts_prefix(tok):
-            parts.append(self.prefix())
-        e = parts[-1]
-        for part in reversed(parts[:-1]):
-            e = Sequence(part, e)
-        return e
-
-    @staticmethod
-    def _starts_prefix(tok: _Tok) -> bool:
-        if tok.kind in ("ident", "name", "string"):
-            return True
-        return tok.kind == "op" and tok.text in "!&.("
-
-    def prefix(self) -> Expression:
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text in "!&":
-            self.pos += 1
-            inner = self.prefix()
-            return Not(inner) if tok.text == "!" else And(inner)
-        return self.postfix()
-
-    def postfix(self) -> Expression:
-        e = self.atom()
-        while (tok := self.peek()) and tok.kind == "op" and tok.text in "*+?":
-            self.pos += 1
-            e = {"*": Star, "+": Plus, "?": Option}[tok.text](e)
-        return e
-
-    def atom(self) -> Expression:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("expected an expression")
-        if tok.kind == "string":
-            self.pos += 1
-            return Empty() if tok.text == "" else Terminal(tok.text)
-        if tok.kind in ("ident", "name"):
-            self.pos += 1
-            return Nonterminal(tok.text)
-        if tok.kind == "op" and tok.text == ".":
-            self.pos += 1
-            return AnyChar()
-        if tok.kind == "op" and tok.text == "(":
-            self.pos += 1
-            e = self.choice()
-            closing = self.peek()
-            if not (closing and closing.kind == "op" and closing.text == ")"):
-                raise self.error("expected ')'")
-            self.pos += 1
-            return e
-        raise self.error(f"unexpected token {tok.text!r}")
+def _fold(parts: list[Expression], node: type) -> Expression:
+    """Right-nest ``parts`` under the binary ``node``: a (b c)."""
+    e = parts[-1]
+    for k in range(len(parts) - 2, -1, -1):
+        e = node(parts[k], e)
+    return e
 
 
-def _strip_comment(line: str) -> str:
-    """Drop a ``#`` comment, ignoring ``#`` inside quotes or backquotes."""
-    quote: str | None = None
-    for i, ch in enumerate(line):
-        if quote is not None:
-            if ch == quote:
-                quote = None
-        elif ch in ('"', "`"):
-            quote = ch
-        elif ch == "#":
-            return line[:i]
-    return line
+def _parse_body(
+    toks: list[Token], lineno: int, rule: str, refs: dict[str, tuple[int, int, str]]
+) -> Expression:
+    """Parse ``toks[2:]``, the body of ``rule``, with an explicit stack.
+
+    Loosest to tightest: ``/``, juxtaposition, prefix ``!`` ``&``, postfix
+    ``*`` ``+`` ``?``.  Each open parenthesis saves the enclosing group's
+    finished alternatives, finished items and pending prefix operators.
+    The first reference to each name is recorded in ``refs`` with its
+    place.
+    """
+    n = len(toks)
+
+    def error(msg: str, i: int) -> GrammarTextError:
+        col = toks[i][2] if i < n else (toks[-1][2] if n > 2 else 1)
+        return GrammarTextError(msg, lineno, col)
+
+    groups: list[tuple[list[Expression], list[Expression], list[str]]] = []
+    alts: list[Expression] = []
+    items: list[Expression] = []
+    prefixes: list[str] = []
+    i = 2
+    while True:
+        # An operand: prefix operators, then an atom or a group.
+        if i == n:
+            raise error("expected an expression", i)
+        kind, text, col = toks[i]
+        i += 1
+        if kind == "name":
+            e: Expression = Nonterminal(text)
+            if text not in refs:
+                refs[text] = (lineno, col, rule)
+        elif kind == "string":
+            e = Terminal(text) if text else Empty()
+        elif kind == "!" or kind == "&":
+            prefixes.append(kind)
+            continue
+        elif kind == "(":
+            groups.append((alts, items, prefixes))
+            alts, items, prefixes = [], [], []
+            continue
+        elif kind == ".":
+            e = AnyChar()
+        else:
+            raise error(f"unexpected token {text!r}", i - 1)
+        while True:
+            # After an atom or a closed group: its postfix operators, then
+            # the prefix operators waiting for it.
+            while i < n and toks[i][0] in _POSTFIX:
+                e = _POSTFIX[toks[i][0]](e)
+                i += 1
+            while prefixes:
+                e = Not(e) if prefixes.pop() == "!" else And(e)
+            items.append(e)
+            kind = toks[i][0] if i < n else ""
+            if kind in _STARTS_OPERAND:
+                break
+            alts.append(_fold(items, Sequence))
+            items = []
+            if kind == "/":
+                i += 1
+                break
+            e = _fold(alts, Choice)
+            if not groups:
+                if i == n:
+                    return e
+                raise error(f"trailing input at {toks[i][1]!r}", i)
+            if kind != ")":
+                raise error("expected ')'", i)
+            i += 1
+            alts, items, prefixes = groups.pop()
 
 
 def parse_grammar_text(text: str) -> Grammar:
@@ -194,45 +181,44 @@ def parse_grammar_text(text: str) -> Grammar:
     seen: set[str] = set()
     declared: list[str] = []
     start: str | None = None
+    refs: dict[str, tuple[int, int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.lstrip().startswith("@"):
-            stripped = _strip_comment(raw).strip()
-            if stripped.startswith("@start"):
-                arg = stripped[len("@start") :].strip()
+            # The directive is the line's first word, its argument the rest.
+            word, *rest = _DIRECTIVE.match(raw).group().split(None, 1)
+            arg = rest[0].strip() if rest else ""
+            if word == "@start":
                 if arg.startswith("`") and arg.endswith("`") and len(arg) > 2:
                     arg = arg[1:-1]
                 if not arg:
                     raise GrammarTextError("@start needs a name", lineno, 1)
                 start = arg
-            elif stripped.startswith("@alphabet"):
-                arg = stripped[len("@alphabet") :].strip()
+            elif word == "@alphabet":
                 if not (len(arg) >= 2 and arg[0] == '"' and arg[-1] == '"'):
                     raise GrammarTextError('@alphabet needs a quoted string', lineno, 1)
                 for ch in arg[1:-1]:
                     if ch not in declared:
                         declared.append(ch)
             else:
-                raise GrammarTextError(f"unknown directive {stripped.split()[0]}", lineno, 1)
+                raise GrammarTextError(f"unknown directive {word}", lineno, 1)
             continue
         toks = _tokenize(raw, lineno)
         if not toks:
             continue
-        head = toks[0]
-        if head.kind not in ("ident", "name"):
-            raise GrammarTextError("rule must start with a name", lineno, head.col)
-        if len(toks) < 2 or toks[1].kind != "arrow":
-            raise GrammarTextError("expected '<-' after rule name", lineno, head.col)
-        if head.text in seen:
-            raise GrammarTextError(f"duplicate rule for {head.text!r}", lineno, head.col)
-        seen.add(head.text)
-        body = _ExprParser(toks[2:], lineno).parse()
-        rules.append((head.text, body))
+        kind, name, col = toks[0]
+        if kind != "name":
+            raise GrammarTextError("rule must start with a name", lineno, col)
+        if len(toks) < 2 or toks[1][0] != "<-":
+            raise GrammarTextError("expected '<-' after rule name", lineno, col)
+        if name in seen:
+            raise GrammarTextError(f"duplicate rule for {name!r}", lineno, col)
+        seen.add(name)
+        rules.append((name, _parse_body(toks, lineno, name, refs)))
     if not rules:
         raise GrammarTextError("no rules found", 0, 0)
     if start is not None and start not in seen:
         raise GrammarTextError(f"@start names unknown rule {start!r}", 0, 0)
-    for name, body in rules:
-        for ref in references_of(body):
-            if ref not in seen:
-                raise GrammarTextError(f"undefined nonterminal {ref!r} in rule {name!r}", 0, 0)
+    for ref, (line, col, rule) in refs.items():
+        if ref not in seen:
+            raise GrammarTextError(f"undefined nonterminal {ref!r} in rule {rule!r}", line, col)
     return Grammar.build(rules, axiom=start, alphabet=declared)

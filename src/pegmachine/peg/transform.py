@@ -28,7 +28,6 @@ from .ast import (
     Sequence,
     Star,
     Terminal,
-    references_of,
 )
 from .wellformed import require_well_formed
 
@@ -44,37 +43,38 @@ def desugar(g: Grammar) -> Grammar:
     sigma = g.alphabet
 
     def rewrite(e: Expression) -> Expression:
-        if isinstance(e, (Empty, Terminal, Nonterminal)):
+        t = type(e)
+        if t is Terminal or t is Nonterminal or t is Empty:
             return e
-        if isinstance(e, Sequence):
+        if t is Sequence:
             return Sequence(rewrite(e.left), rewrite(e.right))
-        if isinstance(e, Choice):
+        if t is Choice:
             return Choice(rewrite(e.first), rewrite(e.second))
-        if isinstance(e, Not):
+        if t is Not:
             return Not(rewrite(e.inner))
-        if isinstance(e, And):
+        if t is And:
             return Not(Not(rewrite(e.inner)))
-        if isinstance(e, Option):
+        if t is Option:
             return Choice(rewrite(e.inner), Empty())
-        if isinstance(e, Star):
+        if t is Star:
             name = f"#{e.nid}"
             fresh.append((name, Choice(Sequence(rewrite(e.inner), Nonterminal(name)), Empty())))
             return Nonterminal(name)
-        if isinstance(e, Plus):
+        if t is Plus:
             # e+ is e e*; rewrite the body once and reference it twice (the
-            # grammar builder renumbers, so sharing the tree is fine).
+            # grammar builder copies each occurrence, so sharing is fine).
             name = f"#{e.nid}"
             inner = rewrite(e.inner)
             fresh.append((name, Choice(Sequence(inner, Nonterminal(name)), Empty())))
             return Sequence(inner, Nonterminal(name))
-        if isinstance(e, AnyChar):
+        if t is AnyChar:
             if not sigma:
                 return Not(Empty())
             out: Expression = Terminal(sigma[-1])
             for ch in reversed(sigma[:-1]):
                 out = Choice(Terminal(ch), out)
             return out
-        if isinstance(e, Fail):
+        if t is Fail:
             return Not(Empty())
         raise TypeError(f"unknown expression node {e!r}")
 
@@ -109,36 +109,45 @@ def to_cnf(g: Grammar) -> CnfGrammar:
     fresh: list[tuple[str, Expression]] = []
     shared: dict[Expression, str] = {}
     needs_eps = False
+    axiom = g.axiom
+    axiom_used = False  # does the axiom occur on a right-hand side?
+
+    def ref(name: str) -> Nonterminal:
+        """A reference in a converted body; notes whether it names the axiom."""
+        nonlocal axiom_used
+        axiom_used = axiom_used or name == axiom
+        return Nonterminal(name)
 
     def lift(e: Expression) -> Nonterminal:
         """Name the subexpression ``e`` so it can sit inside a binary body."""
         nonlocal needs_eps
-        if isinstance(e, Nonterminal):
-            return Nonterminal(e.name)
+        if type(e) is Nonterminal:
+            return ref(e.name)
         body = convert(e)
-        if isinstance(body, Empty):
+        if type(body) is Empty:
             needs_eps = True
-            return Nonterminal(_EPS_NT)
+            return ref(_EPS_NT)
         name = shared.get(body)
         if name is None:
             # "#c" keeps these names disjoint from desugar's "#k" rules,
             # which may survive in the input grammar.
             name = shared[body] = f"#c{e.nid}"
             fresh.append((name, body))
-        return Nonterminal(name)
+        return ref(name)
 
     def convert(e: Expression) -> Expression:
         nonlocal needs_eps
-        if isinstance(e, (Terminal, Empty)):
+        t = type(e)
+        if t is Terminal or t is Empty:
             return e
-        if isinstance(e, Nonterminal):
+        if t is Nonterminal:
             needs_eps = True
-            return Sequence(Nonterminal(e.name), Nonterminal(_EPS_NT))
-        if isinstance(e, Sequence):
+            return Sequence(ref(e.name), ref(_EPS_NT))
+        if t is Sequence:
             return Sequence(lift(e.left), lift(e.right))
-        if isinstance(e, Choice):
+        if t is Choice:
             return Choice(lift(e.first), lift(e.second))
-        if isinstance(e, Not):
+        if t is Not:
             return Not(lift(e.inner))
         raise NotCoreError(f"unexpected node {e!r}")
 
@@ -147,8 +156,7 @@ def to_cnf(g: Grammar) -> CnfGrammar:
     if needs_eps:
         rules.append((_EPS_NT, Empty()))
 
-    axiom = g.axiom
-    if any(axiom in references_of(body) for _, body in rules):
+    if axiom_used:
         rules.append((_FRESH_AXIOM, Sequence(Nonterminal(axiom), Nonterminal(_EPS_NT))))
         if not needs_eps:
             rules.append((_EPS_NT, Empty()))

@@ -42,16 +42,9 @@ class WfReport:
         assert self.well_formed == (self.offending_cycle is None)
 
 
-def _abstract(e: Expression, nt: dict[str, int]) -> int:
-    if isinstance(e, Empty):
-        return _EMPTY
-    if isinstance(e, Terminal):
-        return _CONSUME | _FAIL
-    if isinstance(e, Nonterminal):
-        return nt[e.name]
-    if isinstance(e, Sequence):
-        a = _abstract(e.left, nt)
-        b = _abstract(e.right, nt)
+def _outcome(kind: type, a: int, b: int) -> int:
+    """Outcome set of a ``kind`` node whose children have sets ``a`` and ``b``."""
+    if kind is Sequence:
         out = _FAIL & a
         if a & (_EMPTY | _CONSUME):
             out |= _FAIL & b
@@ -60,65 +53,118 @@ def _abstract(e: Expression, nt: dict[str, int]) -> int:
             if (a | b) & _CONSUME and a & (_EMPTY | _CONSUME) and b & (_EMPTY | _CONSUME):
                 out |= _CONSUME
         return out
-    if isinstance(e, Choice):
-        a = _abstract(e.first, nt)
-        b = _abstract(e.second, nt)
+    if kind is Choice:
         out = a & (_EMPTY | _CONSUME)
         if a & _FAIL:
             out |= b
         return out
-    if isinstance(e, Not):
-        a = _abstract(e.inner, nt)
-        out = 0
-        if a & _FAIL:
-            out |= _EMPTY
-        if a & (_EMPTY | _CONSUME):
-            out |= _FAIL
-        return out
-    raise NotCoreError(f"well-formedness analysis needs a core-only grammar, saw {e!r}")
+    out = 0  # Not, of the set ``a``
+    if a & _FAIL:
+        out |= _EMPTY
+    if a & (_EMPTY | _CONSUME):
+        out |= _FAIL
+    return out
 
 
-def _zero_reach(e: Expression, nt: dict[str, int], acc: list[str]) -> None:
-    """Nonterminals invocable from ``e`` before any input is consumed."""
-    if isinstance(e, Nonterminal):
-        if e.name not in acc:
-            acc.append(e.name)
-    elif isinstance(e, Sequence):
-        _zero_reach(e.left, nt, acc)
-        if _abstract(e.left, nt) & _EMPTY:
-            _zero_reach(e.right, nt, acc)
-    elif isinstance(e, Choice):
-        _zero_reach(e.first, nt, acc)
-        if _abstract(e.first, nt) & _FAIL:
-            _zero_reach(e.second, nt, acc)
-    elif isinstance(e, Not):
-        _zero_reach(e.inner, nt, acc)
+# ``_outcome`` tabulated for each composite node type, indexed by ``a << 3 | b``.
+_SEQ, _CHOICE, _NOT = (
+    tuple(_outcome(kind, a, b) for a in range(8) for b in range(8))
+    for kind in (Sequence, Choice, Not)
+)
+
+# The outcome sets of every empty and of every terminal, which never change,
+# sit in slots 0 and 1; slot ``2 + i`` holds the ``i``-th nonterminal's.
+_CONSTANT_SLOT = {Empty: 0, Terminal: 1}
+
+
+def _flatten(
+    body: Expression,
+    slot_of: dict[str, int],
+    kids: list[tuple[tuple[int, ...], int, int]],
+) -> tuple[int, list[tuple[int, tuple[int, ...], int, int]]]:
+    """The slot of ``body`` and its composite nodes in post-order.
+
+    Each Sequence, Choice and Not node takes the first slot after the
+    rules' slots and those already in ``kids``, where it is recorded as
+    ``(table, left slot, right slot)``; a Not has its inner slot on both
+    sides.  The nodes come back as ``(slot, table, left slot, right slot)``.
+    """
+    nodes: list[tuple[int, tuple[int, ...], int, int]] = []
+    slots: list[int] = []
+    stack: list = [body]
+    while stack:
+        e = stack.pop()
+        t = type(e)
+        if t is Nonterminal:
+            slots.append(slot_of[e.name])
+        elif t is Terminal or t is Empty:
+            slots.append(_CONSTANT_SLOT[t])
+        elif t is Sequence:
+            stack += (_SEQ, e.right, e.left)
+        elif t is Choice:
+            stack += (_CHOICE, e.second, e.first)
+        elif t is Not:
+            stack += (_NOT, e.inner)
+        elif t is tuple:  # a table, once the node's children have their slots
+            b = slots.pop()
+            a = b if e is _NOT else slots.pop()
+            slot = len(slot_of) + 2 + len(kids)
+            kids.append((e, a, b))
+            nodes.append((slot, e, a, b))
+            slots.append(slot)
+        else:
+            raise NotCoreError(f"well-formedness analysis needs a core-only grammar, saw {e!r}")
+    return slots[0], nodes
+
+
+def _zero_reach(root: int, values: list[int], kids: list, names: tuple[str, ...]) -> list[str]:
+    """Nonterminals invocable from a body before any input is consumed."""
+    base = 2 + len(names)
+    acc: dict[str, None] = {}
+    stack = [root]
+    while stack:
+        slot = stack.pop()
+        if slot >= base:
+            table, a, b = kids[slot - base]
+            if table is _SEQ and values[a] & _EMPTY or table is _CHOICE and values[a] & _FAIL:
+                stack.append(b)
+            stack.append(a)
+        elif slot >= 2:
+            acc[names[slot - 2]] = None
+    return list(acc)
 
 
 def check_well_formed(g: Grammar) -> WfReport:
-    """Analyse a core-only grammar; raises :class:`NotCoreError` on sugar."""
-    nt = {name: 0 for name in g.nonterminals}
+    """Analyse a core-only grammar; raises :class:`NotCoreError` on sugar.
+
+    Each body is flattened once; a fixpoint pass then evaluates each of its
+    composite nodes once, in post-order, updating the rules' sets in place
+    in rule order.  The last pass leaves every node's final set in its
+    slot, where the zero-consumption edges read it.
+    """
+    names = g.nonterminals
+    slot_of = {name: i for i, name in enumerate(names, start=2)}
+    kids: list[tuple[tuple[int, ...], int, int]] = []
+    rules = [_flatten(g.rules[name], slot_of, kids) for name in names]
+    values = [_EMPTY, _CONSUME | _FAIL] + [0] * (len(names) + len(kids))
     changed = True
     while changed:
         changed = False
-        for name in g.nonterminals:
-            new = nt[name] | _abstract(g.rules[name], nt)
-            if new != nt[name]:
-                nt[name] = new
+        for i, (root, nodes) in enumerate(rules, start=2):
+            for slot, table, a, b in nodes:
+                values[slot] = table[values[a] << 3 | values[b]]
+            new = values[i] | values[root]
+            if new != values[i]:
+                values[i] = new
                 changed = True
 
-    edges: dict[str, list[str]] = {}
-    for name in g.nonterminals:
-        acc: list[str] = []
-        _zero_reach(g.rules[name], nt, acc)
-        edges[name] = acc
-
-    cycle = _find_cycle(g.nonterminals, edges)
+    edges = {name: _zero_reach(root, values, kids, names) for name, (root, _) in zip(names, rules)}
+    cycle = _find_cycle(names, edges)
     return WfReport(
         well_formed=cycle is None,
         offending_cycle=cycle,
-        nullable={name: bool(nt[name] & _EMPTY) for name in g.nonterminals},
-        can_fail={name: bool(nt[name] & _FAIL) for name in g.nonterminals},
+        nullable={name: bool(values[i] & _EMPTY) for name, i in slot_of.items()},
+        can_fail={name: bool(values[i] & _FAIL) for name, i in slot_of.items()},
     )
 
 

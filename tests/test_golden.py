@@ -2,8 +2,11 @@
 
 Each case runs one command through ``cli.main`` on files written to a
 temporary directory and pins the digest of its standard output: the
-compiled machine, its normal form and the grammar extracted from it for
-the reference grammars, and the normal form of each built-in machine.
+desugared grammar, its normal-form grammar, the compiled machine, its
+normal form and the grammar extracted from it for the reference
+grammars, and the normal form of each built-in machine.  The desugared
+and normal-form grammars name their fresh rules after node ids (``#k``,
+``#c<nid>``), so they pin the numbering of :meth:`Grammar.build` too.
 The machine commands read the compiled ``.mach`` text, so the file reader
 and writer are pinned along with the constructions.
 
@@ -32,6 +35,12 @@ GRAMMARS = {"fig2": FIG2_TEXT, "sec13_union": SEC13_UNION_TEXT, "sec13_abc": SEC
 BUILTINS = {"anbncn": builtin_anbncn, "loop": builtin_loop, "sweep": builtin_sweep}
 
 GRAMMAR_DIGESTS = {
+    ("fig2", "desugar"): (
+        "03ac681b0c1dcc9cd76b5806f8985ad0fa331b797e9567befdf2fd3ce199b796"
+    ),
+    ("fig2", "cnf"): (
+        "72b0d054a44cf0cf1b78225783d5bf1e1f07d744e5d38e6755b6c1b29127f80d"
+    ),
     ("fig2", "compile"): (
         "2ca93a1157ad8fde69bc52fd16ef6b249588e0ac6d45b933ff81b74ea9ca9805"
     ),
@@ -41,6 +50,12 @@ GRAMMAR_DIGESTS = {
     ("fig2", "extract"): (
         "244eb3e299f40a661bea92f2634ab1a44bc8e1580ff9e40c96b3f4be206e4a7c"
     ),
+    ("sec13_union", "desugar"): (
+        "5566d24c9a806dfaa484507c8160a3b4f2234d2e58b4c8288630207b0d41d991"
+    ),
+    ("sec13_union", "cnf"): (
+        "619c663f861e138989f4a8b9a99ea2c9e3f676915f99b8f8da280b78d94de875"
+    ),
     ("sec13_union", "compile"): (
         "64dc9d3cd5c0bb9ef937a63f1a26a8e5e8b8cb26ec208ff1b09aba9d0d5cfcfb"
     ),
@@ -49,6 +64,12 @@ GRAMMAR_DIGESTS = {
     ),
     ("sec13_union", "extract"): (
         "f894c72488ce5a0a358750a434b0f127c8b4fa0301fb5bb4c10a279ff7dfbbbc"
+    ),
+    ("sec13_abc", "desugar"): (
+        "86d37bb8d84ad173138e14054c418f3f40ab5e320a4c5a8a22d11629e92976bf"
+    ),
+    ("sec13_abc", "cnf"): (
+        "d3d4689aeed796175549888fce1a11483b1425d8f66b772cd35572509554cd82"
     ),
     ("sec13_abc", "compile"): (
         "b1ff1275e4e1d0318e02f546926d1c0c1303d6c717fc342a85b0a202d63b1c2c"
@@ -85,6 +106,8 @@ def test_grammar_outputs_are_pinned(name, tmp_path, capsys):
     mach = tmp_path / f"{name}.mach"
     mach.write_text(_output(capsys, "compile", str(peg)))
     outputs = {
+        "desugar": _output(capsys, "desugar", str(peg)),
+        "cnf": _output(capsys, "cnf", str(peg)),
         "compile": mach.read_text(),
         "normalize": _output(capsys, "normalize", str(mach)),
         "extract": _output(capsys, "extract", str(mach)),

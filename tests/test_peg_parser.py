@@ -1,5 +1,6 @@
 import pytest
 
+from pegmachine import cli
 from pegmachine.errors import GrammarTextError
 from pegmachine.peg import (
     Choice,
@@ -9,6 +10,7 @@ from pegmachine.peg import (
     Terminal,
     parse_grammar_text,
     render_grammar_text,
+    walk,
 )
 
 from conftest import FIG2_TEXT
@@ -73,8 +75,6 @@ def test_postfix_binds_tighter_than_prefix():
 
 
 def test_node_ids_dense_and_unique(fig2):
-    from pegmachine.peg import walk
-
     nids = [n.nid for name in fig2.nonterminals for n in walk(fig2.rules[name])]
     assert sorted(nids) == list(range(len(nids)))
 
@@ -94,3 +94,89 @@ def test_backquoted_names_roundtrip():
     assert "`#weird name`" in text
     again = parse_grammar_text(text)
     assert again.nonterminals == ("#weird name",)
+
+
+# name: (source, message, line, column).  Recorded before the tokenizer
+# became one regular expression and the parser an explicit stack; only the
+# undefined reference, which now names its place, has changed since.
+DIAGNOSTICS = {
+    "unterminated-string": ('S <- "a', "unterminated string literal", 1, 6),
+    "multi-letter-terminal": ('S <- "ab"', "terminals are single characters, got 'ab'", 1, 6),
+    "empty-backquote": ("S <- ``", "empty backquoted name", 1, 6),
+    "unterminated-backquote": ("S <- `abc", "unterminated backquoted name", 1, 6),
+    "unterminated-backquote-line-2": (
+        'S <- "a"\nT <- "b" "c" ` ', "unterminated backquoted name", 2, 14
+    ),
+    "unexpected-character": ('S <- "a" $', "unexpected character '$'", 1, 10),
+    "missing-arrow": ('S "a"', "expected '<-' after rule name", 1, 1),
+    "no-name": ('"a" <- S', "rule must start with a name", 1, 1),
+    "missing-paren": ('S <- ("a" "b"', "expected ')'", 1, 11),
+    "missing-paren-line-3": ('S <- "a"\n\n  T <- !( "b" # (\n', "expected ')'", 3, 11),
+    "arrow-in-group": ('S <- ("a" / "b" <- "c")', "expected ')'", 1, 17),
+    "trailing-input": ('S <- "a" )', "trailing input at ')'", 1, 10),
+    "trailing-after-postfix": ('S <- "a"*)', "trailing input at ')'", 1, 10),
+    "lexical-error-first": ('# c\nS <- "a" ) "b', "unterminated string literal", 2, 12),
+    "dangling-choice": ('S <- "a" /', "expected an expression", 1, 10),
+    "empty-body": ("S <- ", "expected an expression", 1, 1),
+    "leading-choice": ('S <- / "a"', "unexpected token '/'", 1, 6),
+    "duplicate-rule": ('S <- "a"\nS <- "b"', "duplicate rule for 'S'", 2, 1),
+    "unknown-start": ('@start T\nS <- "a"', "@start names unknown rule 'T'", 0, 0),
+    "bad-alphabet": ('@alphabet xy\nS <- "a"', "@alphabet needs a quoted string", 1, 1),
+    "no-rules": ("", "no rules found", 0, 0),
+    "undefined-reference": (
+        'S <- A "b"\nA <- "a" B', "undefined nonterminal 'B' in rule 'A'", 2, 10
+    ),
+}
+
+
+@pytest.mark.parametrize("source, message, line, col", DIAGNOSTICS.values(), ids=DIAGNOSTICS)
+def test_diagnostics(source, message, line, col):
+    with pytest.raises(GrammarTextError) as err:
+        parse_grammar_text(source)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == (f"{line}:{col}: {message}" if line else message)
+
+
+def test_undefined_reference_names_its_first_place():
+    source = 'S <- A "b"\nA <- "a" (B / "c" B)\nT <- B'
+    with pytest.raises(GrammarTextError) as err:
+        parse_grammar_text(source)
+    assert str(err.value) == "2:11: undefined nonterminal 'B' in rule 'A'"
+
+
+@pytest.mark.parametrize(
+    "source, word",
+    [
+        ('A <- "a"\nS <- A "b"\n@startS', "@startS"),
+        ('@alphabet"xy"\nS <- "x"', '@alphabet"xy"'),
+        ('@alphabetical "xyz"\nS <- "x"', "@alphabetical"),
+    ],
+    ids=["start", "alphabet", "alphabetical"],
+)
+def test_directive_is_its_whole_first_word(source, word, tmp_path, capsys):
+    with pytest.raises(GrammarTextError, match=f"unknown directive {word}$"):
+        parse_grammar_text(source)
+    path = tmp_path / "g.peg"
+    path.write_text(source)
+    assert cli.main(["run", str(path), "x", "--engine", "packrat"]) == 2
+    assert f"unknown directive {word}" in capsys.readouterr().err
+
+
+def _assert_preorder_ids(g):
+    nids = [n.nid for name in g.nonterminals for n in walk(g.rules[name])]
+    assert nids == list(range(g.node_count))
+
+
+@pytest.mark.parametrize(
+    "body, nodes",
+    [
+        (" ".join(['"a"'] * 10_000), 2 * 10_000 - 1),  # a flat rule
+        ('("a" ' * 300 + '"b"' + ")" * 300, 2 * 300 + 1),  # deep parentheses
+        ("!" * 2_000 + '"a"', 2_000 + 1),  # a tower of prefix operators
+    ],
+    ids=["flat", "parentheses", "prefix"],
+)
+def test_loader_takes_deep_input(body, nodes):
+    g = parse_grammar_text("S <- " + body)
+    assert g.node_count == nodes
+    _assert_preorder_ids(g)
