@@ -1,20 +1,20 @@
 """Grammar AST: expression nodes, grammars, and recognition outcomes.
 
-Expressions form a tree of frozen nodes.  The core forms are Empty,
-Terminal, Nonterminal, Sequence, Choice and Not; Star, Plus, Option, And,
-AnyChar and Fail are sugar that :func:`pegmachine.peg.transform.desugar`
-rewrites into core forms.  Every node carries an integer node id ``nid``
-that is unique and dense (``0 .. node_count-1``) within one grammar.
-Node equality is structural and ignores ids.
+Expressions form a tree of frozen, slotted nodes.  The core forms are
+Empty, Terminal, Nonterminal, Sequence, Choice and Not; Star, Plus,
+Option, And, AnyChar and Fail are sugar that
+:func:`pegmachine.peg.transform.desugar` rewrites into core forms.  A node
+is a plain value: it carries no id, its equality and hash are structural
+and include its class (``Not(x) != Star(x)``), and assigning to a field
+raises.  So a node is built once, where it is made, and may be shared by
+several trees; the rewrites that name fresh rules after a node count its
+pre-order position as they visit it.
 
-Ids are assigned in one place: :meth:`Grammar.build` copies every rule
-body once, in rule order, numbering its nodes in pre-order
-(:func:`_number`).  The same pass gathers the alphabet, the referenced
-names, ``node_count`` and ``is_core``, so a built grammar is never walked
-again to check or measure it.  Nodes made elsewhere (by the text parser,
-the rewrites or the extraction) carry id -1 until they are built into a
-grammar.  Node types have no subclasses, so the walkers here dispatch on
-``type(e)``.
+:meth:`Grammar.build` walks each rule body once, without copying it, and
+gathers the alphabet, the referenced names, ``node_count`` (node
+occurrences, a shared subtree counted at each) and ``is_core``, so a
+built grammar is never walked again to check or measure it.  Node types
+have no subclasses, so the walkers here dispatch on ``type(e)``.
 """
 
 from __future__ import annotations
@@ -38,75 +38,66 @@ class Expression:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty(Expression):
-    nid: int = field(default=-1, compare=False)
+    pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Terminal(Expression):
     symbol: str
-    nid: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nonterminal(Expression):
     name: str
-    nid: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequence(Expression):
     left: Expression
     right: Expression
-    nid: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Choice(Expression):
     first: Expression
     second: Expression
-    nid: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Expression):
     inner: Expression
-    nid: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Expression):
     inner: Expression
-    nid: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plus(Expression):
     inner: Expression
-    nid: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Option(Expression):
     inner: Expression
-    nid: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Expression):
     inner: Expression
-    nid: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnyChar(Expression):
-    nid: int = field(default=-1, compare=False)
+    pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fail(Expression):
-    nid: int = field(default=-1, compare=False)
+    pass
 
 
 _CORE_TYPES = frozenset((Empty, Terminal, Nonterminal, Sequence, Choice, Not))
@@ -160,53 +151,9 @@ def reachable_from(rules: Mapping[str, Expression], axiom: str) -> set[str]:
     return keep
 
 
-def _number(
-    body: Expression, nid: int, letters: dict[str, None], refs: dict[str, None]
-) -> tuple[Expression, int, bool]:
-    """Copy ``body`` with pre-order ids from ``nid``: (copy, next id, core-only).
-
-    One pass: the first loop lists the nodes in pre-order and adds the
-    body's letters and referenced names to ``letters`` and ``refs`` in
-    first-appearance order; the second builds the copies bottom-up, from
-    the end of that list, where every node's children are already built.
-    """
-    order: list[Expression] = []
-    core = True
-    stack = [body]
-    while stack:
-        e = stack.pop()
-        order.append(e)
-        t = type(e)
-        if t is Terminal:
-            letters[e.symbol] = None
-        elif t is Nonterminal:
-            refs[e.name] = None
-        elif t is Sequence:
-            stack += (e.right, e.left)
-        elif t is Choice:
-            stack += (e.second, e.first)
-        elif t in _UNARY_TYPES:
-            stack.append(e.inner)
-            core = core and t is Not
-        elif t is not Empty:
-            core = False
-    built: list[Expression] = []
-    k = nid + len(order)
-    for e in reversed(order):
-        k -= 1
-        t = type(e)
-        if t is Terminal:
-            built.append(Terminal(e.symbol, k))
-        elif t is Nonterminal:
-            built.append(Nonterminal(e.name, k))
-        elif t is Sequence or t is Choice:
-            first = built.pop()
-            built[-1] = t(first, built[-1], k)
-        elif t in _UNARY_TYPES:
-            built[-1] = t(built[-1], k)
-        else:
-            built.append(t(k))
-    return built[0], nid + len(order), core
+def is_letter(ch: str) -> bool:
+    """May ``ch`` be a grammar letter?  One character, neither reserved nor blank."""
+    return len(ch) == 1 and ch not in RESERVED_LETTERS and not ch.isspace()
 
 
 # --- recognition outcomes ---------------------------------------------------
@@ -245,9 +192,10 @@ class Grammar:
     """A grammar: ordered nonterminals, ordered alphabet, one rule each, axiom.
 
     Immutable after construction; construct through :meth:`build` (or the
-    text parser), which assigns dense node ids and validates the invariants.
-    A grammar constructed directly is checked node by node instead.
-    ``node_count`` and ``is_core`` are recorded by whichever check ran.
+    text parser), which computes the alphabet and validates the invariants.
+    A grammar constructed directly is also checked against its alphabet.
+    Either way each body is walked once, by :meth:`_check_bodies`, which
+    records ``node_count`` and ``is_core``.
     """
 
     nonterminals: tuple[str, ...]
@@ -259,23 +207,12 @@ class Grammar:
 
     def __post_init__(self) -> None:
         self._check_header()
-        rules, sigma = self.rules, set(self.alphabet)
-        nids: list[int] = []
-        core = True
-        for name in self.nonterminals:
-            for n in walk(rules[name]):
-                nids.append(n.nid)
-                t = type(n)
-                if t is Nonterminal and n.name not in rules:
-                    raise GrammarInvariantError(f"undefined nonterminal {n.name!r}")
-                if t is Terminal and n.symbol not in sigma:
-                    raise GrammarInvariantError(f"letter {n.symbol!r} not in alphabet")
-                core = core and t in _CORE_TYPES
-        if sorted(nids) != list(range(len(nids))):
-            raise GrammarInvariantError("node ids must be dense and unique")
+        letters = dict.fromkeys(self.alphabet)
+        known = len(letters)
+        self._check_bodies(letters)
+        if len(letters) > known:
+            raise GrammarInvariantError(f"letter {list(letters)[known]!r} not in alphabet")
         self._check_shapes()
-        object.__setattr__(self, "node_count", len(nids))
-        object.__setattr__(self, "is_core", core)
 
     def _check_header(self) -> None:
         """The invariants that do not look inside rule bodies."""
@@ -287,10 +224,41 @@ class Grammar:
         if self.axiom not in self.rules:
             raise GrammarInvariantError(f"axiom {self.axiom!r} has no rule")
         for ch in self.alphabet:
-            if len(ch) != 1 or ch in RESERVED_LETTERS or ch.isspace():
+            if not is_letter(ch):
                 raise GrammarInvariantError(f"bad alphabet letter {ch!r}")
         if set(names) & set(self.alphabet):
             raise GrammarInvariantError("nonterminal names and alphabet must be disjoint")
+
+    def _check_bodies(self, letters: dict[str, None]) -> None:
+        """Walk every body once, in pre-order and rule order: add its letters
+        to ``letters`` in first-appearance order, check its references, and
+        record ``node_count`` and ``is_core``."""
+        rules = self.rules
+        refs: dict[str, None] = {}
+        count, core = 0, True
+        stack = [rules[name] for name in reversed(self.nonterminals)]
+        while stack:
+            e = stack.pop()
+            count += 1
+            t = type(e)
+            if t is Terminal:
+                letters[e.symbol] = None
+            elif t is Nonterminal:
+                refs[e.name] = None
+            elif t is Sequence:
+                stack += (e.right, e.left)
+            elif t is Choice:
+                stack += (e.second, e.first)
+            elif t in _UNARY_TYPES:
+                stack.append(e.inner)
+                core = core and t is Not
+            elif t is not Empty:
+                core = False
+        for ref in refs:
+            if ref not in rules:
+                raise GrammarInvariantError(f"undefined nonterminal {ref!r}")
+        object.__setattr__(self, "node_count", count)
+        object.__setattr__(self, "is_core", core)
 
     def _check_shapes(self) -> None:
         """Invariants a subclass adds on rule shapes; a plain grammar has none."""
@@ -302,41 +270,26 @@ class Grammar:
         axiom: str | None = None,
         alphabet: SeqT[str] = (),
     ) -> "Grammar":
-        """Assemble a grammar, numbering node ids and computing the alphabet.
+        """Assemble a grammar from its rules, computing the alphabet.
 
         The alphabet is the declared letters followed by any further letters
-        appearing in rule bodies, in first-appearance order.  Each body is
-        copied once by :func:`_number`; its ids are dense and its letters in
-        the alphabet by construction, so only the references and the
-        invariants outside the bodies are left to check.
+        appearing in rule bodies, in first-appearance order.  The bodies are
+        kept as given: a node may be shared within or between them.
         """
         names = tuple(name for name, _ in rules)
         if len(set(names)) != len(names):
             dup = next(n for i, n in enumerate(names) if n in names[:i])
             raise GrammarInvariantError(f"duplicate rule for {dup!r}")
+        g = object.__new__(cls)
+        object.__setattr__(g, "nonterminals", names)
+        object.__setattr__(g, "rules", dict(rules))
+        object.__setattr__(g, "axiom", axiom if axiom is not None else names[0])
         declared = tuple(alphabet)
         letters = dict.fromkeys(declared)
         known = len(letters)
-        refs: dict[str, None] = {}
-        numbered: dict[str, Expression] = {}
-        nid, core = 0, True
-        for name, body in rules:
-            numbered[name], nid, body_core = _number(body, nid, letters, refs)
-            core = core and body_core
-        g = object.__new__(cls)
-        for attr, value in (
-            ("nonterminals", names),
-            ("alphabet", declared + tuple(letters)[known:]),
-            ("rules", numbered),
-            ("axiom", axiom if axiom is not None else names[0]),
-            ("node_count", nid),
-            ("is_core", core),
-        ):
-            object.__setattr__(g, attr, value)
+        g._check_bodies(letters)
+        object.__setattr__(g, "alphabet", declared + tuple(letters)[known:])
         g._check_header()
-        for ref in refs:
-            if ref not in numbered:
-                raise GrammarInvariantError(f"undefined nonterminal {ref!r}")
         g._check_shapes()
         return g
 

@@ -15,7 +15,7 @@ The word is accepted exactly when the axiom consumes all of it.  The
 naive engine applies the clauses under a step budget and reports
 ``Diverged`` when the budget is exhausted, so ill-formed grammars can be
 probed safely.  The packrat engine memoizes rule invocations by
-``(node id, position)``, computing each entry at most once; evaluation is
+``(rule, position)``, computing each entry at most once; evaluation is
 iterative (explicit task stack), so deep grammars cannot overflow the
 host stack.
 """
@@ -167,9 +167,9 @@ def interpret_packrat(
     """Memoized recognition of ``word`` starting at the axiom.
 
     Requires a well-formed core grammar.  The memo table is per-invocation;
-    at most ``node_count * (len(word) + 1)`` entries are ever computed, each
-    exactly once.  Pass a ``stats`` dict to receive ``computed`` and
-    ``lookups`` counters.
+    at most ``len(nonterminals) * (len(word) + 1)`` entries are ever
+    computed, each exactly once.  Pass a ``stats`` dict to receive
+    ``computed`` and ``lookups`` counters.
     """
     memo: dict[int, object] = {}
     return _wrap(_run(g, g.rules[g.axiom], word, 0, None, memo, stats))

@@ -34,6 +34,7 @@ from .ast import (
     Sequence,
     Star,
     Terminal,
+    is_letter,
 )
 
 # One token per match, after any blanks.  The group that matched tells the
@@ -77,6 +78,8 @@ def _tokenize(line: str, lineno: int) -> list[Token]:
                 raise GrammarTextError(
                     f"terminals are single characters, got {m[2]!r}", lineno, col
                 )
+            if m[2] and not is_letter(m[2]):
+                raise GrammarTextError(f"bad alphabet letter {m[2]!r}", lineno, col)
             toks.append(("string", m[2], col))
         elif group == 5:
             col = m.start(4)
@@ -196,7 +199,11 @@ def parse_grammar_text(text: str) -> Grammar:
             elif word == "@alphabet":
                 if not (len(arg) >= 2 and arg[0] == '"' and arg[-1] == '"'):
                     raise GrammarTextError('@alphabet needs a quoted string', lineno, 1)
+                col = raw.index('"') + 1
                 for ch in arg[1:-1]:
+                    col += 1
+                    if not is_letter(ch):
+                        raise GrammarTextError(f"bad alphabet letter {ch!r}", lineno, col)
                     if ch not in declared:
                         declared.append(ch)
             else:

@@ -1,12 +1,15 @@
 """Grammar rewrites: desugaring, normal-form conversion, acceptance-mode wrappers.
 
 Fresh nonterminals introduced by the rewrites are named ``#k`` where ``k``
-is the node id of the originating node in the input grammar, so output is
-deterministic and golden-testable.  ``#`` is not a legal character in
-user-written names, which makes collisions impossible.  The normal-form
-conversion shares one fresh rule among equal subexpressions: that rule
-takes the node id of the first occurrence in rule order, and lifted
-empties all reuse the ``#u <- ""`` rule.
+is the pre-order position of the originating node in the input grammar:
+the rewrite counts the nodes as it visits them, rule by rule in order,
+and a subtree that occurs twice (as the body of a ``Plus`` does after
+desugaring) is counted at each occurrence.  So output is deterministic
+and golden-testable.  ``#`` is not a legal character in user-written
+names, which makes collisions impossible.  The normal-form conversion
+shares one fresh rule among equal subexpressions: that rule takes the
+position of the first occurrence in rule order, and lifted empties all
+reuse the ``#u <- ""`` rule.
 """
 
 from __future__ import annotations
@@ -36,13 +39,18 @@ def desugar(g: Grammar) -> Grammar:
     """Rewrite sugar forms into the core forms.
 
     Star and Plus loops become fresh rules (``e*`` turns into ``#k`` with
-    ``#k <- e #k / ""``); Option, And, AnyChar and Fail are expanded in
-    place.  Core-only grammars come back unchanged up to node renumbering.
+    ``#k <- e #k / ""``, ``k`` the loop's pre-order position); Option,
+    And, AnyChar and Fail are expanded in place.  Core-only grammars come
+    back equal.
     """
     fresh: list[tuple[str, Expression]] = []
     sigma = g.alphabet
+    k = 0  # pre-order position of the next node visited
 
     def rewrite(e: Expression) -> Expression:
+        nonlocal k
+        pos = k
+        k += 1
         t = type(e)
         if t is Terminal or t is Nonterminal or t is Empty:
             return e
@@ -57,13 +65,13 @@ def desugar(g: Grammar) -> Grammar:
         if t is Option:
             return Choice(rewrite(e.inner), Empty())
         if t is Star:
-            name = f"#{e.nid}"
+            name = f"#{pos}"
             fresh.append((name, Choice(Sequence(rewrite(e.inner), Nonterminal(name)), Empty())))
             return Nonterminal(name)
         if t is Plus:
-            # e+ is e e*; rewrite the body once and reference it twice (the
-            # grammar builder copies each occurrence, so sharing is fine).
-            name = f"#{e.nid}"
+            # e+ is e e*; rewrite the body once and reference it twice
+            # (nodes are values, so sharing is fine).
+            name = f"#{pos}"
             inner = rewrite(e.inner)
             fresh.append((name, Choice(Sequence(inner, Nonterminal(name)), Empty())))
             return Sequence(inner, Nonterminal(name))
@@ -93,14 +101,18 @@ def to_cnf(g: Grammar) -> CnfGrammar:
     bare terminals / empties / negations inside composite bodies are lifted
     into fresh rules, unit rules ``A <- B`` are padded to ``A <- B #u`` with
     ``#u <- ""``, and a fresh axiom wrapping the old one is added whenever
-    the old axiom occurs on a right-hand side.  Acceptance is preserved.
+    the old axiom occurs on a right-hand side.  Acceptance and
+    well-formedness are preserved; the output records that it is
+    well-formed, so :func:`~pegmachine.translate.peg_to_dppda` compiles it
+    without a second analysis.
 
     Lifting works bottom-up and is hash-consed on the converted body, so
-    equal subexpressions share one rule ``#c<nid>``, named after the first
-    occurrence in rule order; a lifted empty is ``#u`` itself.  Sharing is
-    sound because equal bodies over the same nonterminals have the same
-    outcome, and it cannot create left recursion because a shared rule has
-    the same successors as each occurrence it replaces.
+    equal subexpressions share one rule ``#c<k>``, named after the
+    pre-order position of the first occurrence; a lifted empty is ``#u``
+    itself.  Sharing is sound because equal bodies over the same
+    nonterminals have the same outcome, and it cannot create left
+    recursion because a shared rule has the same successors as each
+    occurrence it replaces.
     """
     if not g.is_core:
         raise NotCoreError("to_cnf needs a core-only grammar; desugar first")
@@ -111,6 +123,7 @@ def to_cnf(g: Grammar) -> CnfGrammar:
     needs_eps = False
     axiom = g.axiom
     axiom_used = False  # does the axiom occur on a right-hand side?
+    k = 0  # pre-order position of the next node visited
 
     def ref(name: str) -> Nonterminal:
         """A reference in a converted body; notes whether it names the axiom."""
@@ -120,9 +133,11 @@ def to_cnf(g: Grammar) -> CnfGrammar:
 
     def lift(e: Expression) -> Nonterminal:
         """Name the subexpression ``e`` so it can sit inside a binary body."""
-        nonlocal needs_eps
+        nonlocal needs_eps, k
         if type(e) is Nonterminal:
+            k += 1
             return ref(e.name)
+        pos = k
         body = convert(e)
         if type(body) is Empty:
             needs_eps = True
@@ -131,12 +146,13 @@ def to_cnf(g: Grammar) -> CnfGrammar:
         if name is None:
             # "#c" keeps these names disjoint from desugar's "#k" rules,
             # which may survive in the input grammar.
-            name = shared[body] = f"#c{e.nid}"
+            name = shared[body] = f"#c{pos}"
             fresh.append((name, body))
         return ref(name)
 
     def convert(e: Expression) -> Expression:
-        nonlocal needs_eps
+        nonlocal needs_eps, k
+        k += 1
         t = type(e)
         if t is Terminal or t is Empty:
             return e
@@ -161,7 +177,9 @@ def to_cnf(g: Grammar) -> CnfGrammar:
         if not needs_eps:
             rules.append((_EPS_NT, Empty()))
         axiom = _FRESH_AXIOM
-    return CnfGrammar.build(rules, axiom=axiom, alphabet=g.alphabet)
+    out = CnfGrammar.build(rules, axiom=axiom, alphabet=g.alphabet)
+    vars(out)["_well_formed"] = True  # the conversion keeps the input's verdict
+    return out
 
 
 TO_FULL_MATCH = "to-full-match-mode"

@@ -100,7 +100,8 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
     """
     if not isinstance(g, CnfGrammar):
         g = CnfGrammar(g.nonterminals, g.alphabet, g.rules, g.axiom)
-    require_well_formed(g)
+    if not vars(g).get("_well_formed"):  # recorded by to_cnf, which checked its input
+        require_well_formed(g)
 
     mb = MachineBuilder(
         _INITIAL,

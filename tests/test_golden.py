@@ -5,8 +5,10 @@ temporary directory and pins the digest of its standard output: the
 desugared grammar, its normal-form grammar, the compiled machine, its
 normal form and the grammar extracted from it for the reference
 grammars, and the normal form of each built-in machine.  The desugared
-and normal-form grammars name their fresh rules after node ids (``#k``,
-``#c<nid>``), so they pin the numbering of :meth:`Grammar.build` too.
+and normal-form grammars name their fresh rules after the pre-order
+position of a node in the input grammar (``#k``, ``#c<k>``), so they pin
+the rewrites' numbering too; one more digest pins the desugared and
+normal-form text of a seeded corpus of random grammars, sugar included.
 The machine commands read the compiled ``.mach`` text, so the file reader
 and writer are pinned along with the constructions.
 
@@ -19,11 +21,14 @@ as they are.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from conftest import FIG2_TEXT, SEC13_ABC_TEXT, SEC13_UNION_TEXT
 from pegmachine import cli
+from pegmachine.fuzz import random_general_grammar
+from pegmachine.peg import desugar, render_grammar_text, to_cnf
 from pegmachine.pppda import (
     builtin_anbncn,
     builtin_loop,
@@ -88,6 +93,8 @@ BUILTIN_DIGESTS = {
     "sweep": "788952e039a4ba8e7474b166eb3c3f5b04cdbad0b981bba826d3933693922a1d",
 }
 
+CORPUS_DIGEST = "73814b2773118a61999b06b6b009c36c2f9a1129602c109d0c535a32ae580b6c"
+
 
 def _output(capsys, *argv: str) -> str:
     capsys.readouterr()
@@ -121,3 +128,12 @@ def test_builtin_normal_forms_are_pinned(name, tmp_path, capsys):
     mach = tmp_path / f"{name}.mach"
     mach.write_text(render_machine_text(BUILTINS[name]()))
     assert _digest(_output(capsys, "normalize", str(mach))) == BUILTIN_DIGESTS[name]
+
+
+def test_random_corpus_rewrites_are_pinned():
+    rng = random.Random(1100)
+    parts = []
+    for _ in range(100):
+        core = desugar(random_general_grammar(rng, 5, 3))
+        parts += [render_grammar_text(core), render_grammar_text(to_cnf(core))]
+    assert _digest("".join(parts)) == CORPUS_DIGEST

@@ -3,7 +3,7 @@ constructed directly."""
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import random
 
 import pytest
@@ -11,86 +11,120 @@ import pytest
 from pegmachine.errors import GrammarInvariantError, NotCnfError
 from pegmachine.fuzz import random_cnf_grammar, random_general_grammar
 from pegmachine.peg import (
+    And,
+    AnyChar,
     Choice,
     CnfGrammar,
+    Empty,
+    Fail,
     Grammar,
     Nonterminal,
     Not,
     Option,
+    Plus,
     Sequence,
+    Star,
     Terminal,
+    desugar,
     is_core_expr,
-    walk,
 )
 
 
-def _renumber(e, counter):
-    """Copy ``e`` with pre-order ids, recursively."""
-    nid = next(counter)
-    if isinstance(e, (Sequence, Choice)):
-        first, second = (e.left, e.right) if isinstance(e, Sequence) else (e.first, e.second)
-        return type(e)(_renumber(first, counter), _renumber(second, counter), nid)
-    if hasattr(e, "inner"):
-        return type(e)(_renumber(e.inner, counter), nid)
-    if isinstance(e, Terminal):
-        return Terminal(e.symbol, nid)
-    if isinstance(e, Nonterminal):
-        return Nonterminal(e.name, nid)
-    return type(e)(nid)
+def _preorder(e):
+    """``e`` and its descendants in pre-order, recursively."""
+    yield e
+    if isinstance(e, Sequence):
+        yield from _preorder(e.left)
+        yield from _preorder(e.right)
+    elif isinstance(e, Choice):
+        yield from _preorder(e.first)
+        yield from _preorder(e.second)
+    elif hasattr(e, "inner"):
+        yield from _preorder(e.inner)
 
 
 def _reference_build(rules, declared):
-    """Bodies and alphabet as a builder that walks each body twice makes them."""
-    counter = itertools.count()
-    numbered = {name: _renumber(body, counter) for name, body in rules}
+    """Alphabet and node count as a recursive walk of every body finds them."""
+    nodes = [n for _, body in rules for n in _preorder(body)]
     sigma = list(declared)
-    for body in numbered.values():
-        for n in walk(body):
-            if isinstance(n, Terminal) and n.symbol not in sigma:
-                sigma.append(n.symbol)
-    return numbered, tuple(sigma)
+    for n in nodes:
+        if isinstance(n, Terminal) and n.symbol not in sigma:
+            sigma.append(n.symbol)
+    return tuple(sigma), len(nodes)
 
 
 def _generated_grammars():
     rng = random.Random(10)
     for _ in range(100):
-        yield random_general_grammar(rng, 4, 3)
+        g = random_general_grammar(rng, 4, 3)
+        yield g
+        yield desugar(g)  # shares each Plus body between two places
     for _ in range(100):
         yield random_cnf_grammar(rng, 5, 3)
 
 
 def test_build_matches_a_recursive_reference():
     for g in _generated_grammars():
-        # Reversed rule order and a partial declared alphabet: the input ids
-        # and letter order are not the ones the builder must produce.
+        # Reversed rule order and a partial declared alphabet: the letter
+        # order is not the one the builder must produce.
         rules = [(name, g.rules[name]) for name in reversed(g.nonterminals)]
         declared = g.alphabet[-1:]
         built = Grammar.build(rules, axiom=g.axiom, alphabet=declared)
-        bodies, sigma = _reference_build(rules, declared)
+        sigma, count = _reference_build(rules, declared)
         assert built.alphabet == sigma
-        assert built.nonterminals == tuple(bodies)
-        for name, body in bodies.items():
+        assert built.nonterminals == tuple(name for name, _ in rules)
+        for name, body in rules:
             assert built.rules[name] == body
-            assert [n.nid for n in walk(built.rules[name])] == [n.nid for n in walk(body)]
-        assert built.node_count == sum(1 for body in bodies.values() for _ in walk(body))
-        assert built.is_core == all(is_core_expr(body) for body in bodies.values())
+        assert built.node_count == count
+        assert built.is_core == all(is_core_expr(body) for _, body in rules)
 
 
 def test_direct_construction_is_checked_node_by_node():
-    a, b = Terminal("a", 1), Terminal("b", 2)
-    g = Grammar(("S",), ("a", "b"), {"S": Sequence(a, b, 0)}, "S")
+    a, b = Terminal("a"), Terminal("b")
+    g = Grammar(("S",), ("a", "b"), {"S": Sequence(a, b)}, "S")
     assert (g.node_count, g.is_core) == (3, True)
-    assert Grammar(("S",), ("a",), {"S": Option(Terminal("a", 1), 0)}, "S").is_core is False
-    with pytest.raises(GrammarInvariantError, match="dense and unique"):
-        Grammar(("S",), ("a", "b"), {"S": Sequence(a, Terminal("b", 1), 0)}, "S")
+    assert Grammar(("S",), ("a",), {"S": Option(Terminal("a"))}, "S").is_core is False
+    # A node shared by two places is counted at each.
+    assert Grammar(("S",), ("a",), {"S": Sequence(a, a)}, "S").node_count == 3
     with pytest.raises(GrammarInvariantError, match="undefined nonterminal 'T'"):
-        Grammar(("S",), (), {"S": Nonterminal("T", 0)}, "S")
+        Grammar(("S",), (), {"S": Nonterminal("T")}, "S")
     with pytest.raises(GrammarInvariantError, match="not in alphabet"):
-        Grammar(("S",), ("a",), {"S": Sequence(a, b, 0)}, "S")
+        Grammar(("S",), ("a",), {"S": Sequence(a, b)}, "S")
+
+
+_X, _Y = Terminal("x"), Nonterminal("Y")
+_NODES = [
+    Empty(),
+    Terminal("a"),
+    Nonterminal("A"),
+    Sequence(_X, _Y),
+    Choice(_X, _Y),
+    Not(_X),
+    Star(_X),
+    Plus(_X),
+    Option(_X),
+    And(_X),
+    AnyChar(),
+    Fail(),
+]
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_nodes_are_frozen_structural_values(node):
+    fields = [f.name for f in dataclasses.fields(node)]
+    copy = type(node)(*(getattr(node, f) for f in fields))
+    assert copy == node and hash(copy) == hash(node) and copy is not node
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, f, _X)
+    assert not hasattr(node, "__dict__")
+    # Equality includes the class: no two kinds of node are ever equal.
+    assert [other for other in _NODES if other == node] == [node]
+    assert len(set(_NODES)) == len(_NODES)
 
 
 def test_normal_form_shapes_are_checked_by_both_constructions():
-    rules = {"S": Sequence(Terminal("a", 1), Nonterminal("S", 2), 0)}
+    rules = {"S": Sequence(Terminal("a"), Nonterminal("S"))}
     with pytest.raises(NotCnfError):
         CnfGrammar(("S",), ("a",), rules, "S")
     with pytest.raises(NotCnfError):

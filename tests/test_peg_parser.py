@@ -10,7 +10,6 @@ from pegmachine.peg import (
     Terminal,
     parse_grammar_text,
     render_grammar_text,
-    walk,
 )
 
 from conftest import FIG2_TEXT
@@ -72,11 +71,6 @@ def test_postfix_binds_tighter_than_prefix():
     from pegmachine.peg import Not, Star
 
     assert g.rules["S"] == Not(Star(Terminal("a")))
-
-
-def test_node_ids_dense_and_unique(fig2):
-    nids = [n.nid for name in fig2.nonterminals for n in walk(fig2.rules[name])]
-    assert sorted(nids) == list(range(len(nids)))
 
 
 def test_render_parse_roundtrip(fig2):
@@ -162,11 +156,6 @@ def test_directive_is_its_whole_first_word(source, word, tmp_path, capsys):
     assert f"unknown directive {word}" in capsys.readouterr().err
 
 
-def _assert_preorder_ids(g):
-    nids = [n.nid for name in g.nonterminals for n in walk(g.rules[name])]
-    assert nids == list(range(g.node_count))
-
-
 @pytest.mark.parametrize(
     "body, nodes",
     [
@@ -179,4 +168,26 @@ def _assert_preorder_ids(g):
 def test_loader_takes_deep_input(body, nodes):
     g = parse_grammar_text("S <- " + body)
     assert g.node_count == nodes
-    _assert_preorder_ids(g)
+
+
+@pytest.mark.parametrize(
+    "source, line, col, letter",
+    [
+        ('S <- "<"', 1, 6, "<"),
+        ('S <- " "', 1, 6, " "),
+        ('S <- "\t"', 1, 6, "\t"),
+        ('@alphabet "<"\nS <- "a"', 1, 12, "<"),
+        ('  @alphabet "ab >"\nS <- "a"', 1, 16, " "),
+        ('S <- "a"\nT <- "b" ">"', 2, 10, ">"),
+    ],
+    ids=["open-marker", "blank", "tab", "alphabet", "alphabet-blank", "line-2"],
+)
+def test_reserved_or_blank_letter_names_its_place(source, line, col, letter, tmp_path, capsys):
+    with pytest.raises(GrammarTextError) as err:
+        parse_grammar_text(source)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"{line}:{col}: bad alphabet letter {letter!r}"
+    path = tmp_path / "g.peg"
+    path.write_text(source)
+    assert cli.main(["check", str(path)]) == 2
+    assert f"{line}:{col}: bad alphabet letter" in capsys.readouterr().err

@@ -1,25 +1,31 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
 
 from pegmachine.errors import NotCoreError
+from pegmachine.fuzz import random_cnf_grammar, random_general_grammar
 from pegmachine.peg import (
     And,
     AnyChar,
     Choice,
     CnfGrammar,
     Empty,
+    Expression,
     Fail,
     Grammar,
     Nonterminal,
     Not,
     Option,
+    Plus,
     Sequence,
     Star,
     TO_FULL_MATCH,
     TO_PREFIX,
     Terminal,
     accepts,
+    check_well_formed,
     cnf_body_shape_ok,
     convert_acceptance,
     desugar,
@@ -151,8 +157,8 @@ A <- !"a" "" "b" / "a" "" A
 
 def test_to_cnf_one_rule_per_distinct_body():
     # Repeated terminals, a repeated composite ("a" A "a") and empties inside
-    # bodies: each distinct body gets one rule, named after the node id of
-    # its first occurrence, and every lifted empty is #u.
+    # bodies: each distinct body gets one rule, named after the pre-order
+    # position of its first occurrence, and every lifted empty is #u.
     g = parse_grammar_text(SHARED_TEXT)
     cnf = to_cnf(g)
     assert render_grammar_text(cnf) == (
@@ -176,6 +182,71 @@ def test_to_cnf_one_rule_per_distinct_body():
     assert len(set(bodies)) == len(bodies)
     for word in all_words("ab", 7):
         assert accepts(g, word) == accepts(cnf, word), word
+
+
+def _kids(e):
+    values = (getattr(e, f.name) for f in dataclasses.fields(e))
+    return [v for v in values if isinstance(v, Expression)]
+
+
+def _loop_names(g):
+    """desugar's fresh rules by a recursive pre-order count: ``#k`` for the
+    loop at position ``k``, in the order the loops' rewrites finish."""
+    counter = itertools.count()
+    names = []
+
+    def visit(e):
+        k = next(counter)
+        for kid in _kids(e):
+            visit(kid)
+        if isinstance(e, (Star, Plus)):
+            names.append(f"#{k}")
+
+    for name in g.nonterminals:
+        visit(g.rules[name])
+    return names
+
+
+def _lift_names(g):
+    """to_cnf's ``#c<k>`` rules by a recursive pre-order count: a lifted
+    composite is named after the position of the first occurrence of its
+    converted shape, in the order the lifts finish."""
+    counter = itertools.count()
+    shared = {}
+
+    def lift(e):
+        k = next(counter)
+        if isinstance(e, Nonterminal):
+            return e.name
+        shape = convert(e)
+        return "#u" if isinstance(e, Empty) else shared.setdefault(shape, f"#c{k}")
+
+    def convert(e):
+        return (type(e).__name__, getattr(e, "symbol", None), *map(lift, _kids(e)))
+
+    for name in g.nonterminals:
+        next(counter)
+        convert(g.rules[name])
+    return list(shared.values())
+
+
+def test_fresh_names_are_recursive_preorder_positions():
+    rng = random.Random(1101)
+    for _ in range(200):
+        g = random_general_grammar(rng, 5, 3)
+        core = desugar(g)
+        assert list(core.nonterminals[len(g.nonterminals) :]) == _loop_names(g)
+        cnf = to_cnf(core)
+        assert [n for n in cnf.nonterminals if n.startswith("#c")] == _lift_names(core)
+
+
+def test_to_cnf_keeps_well_formedness():
+    # grammar_to_machine compiles to_cnf's output without checking it again.
+    rng = random.Random(1102)
+    for k in range(200):
+        g = desugar(random_general_grammar(rng, 5, 3)) if k % 2 else random_cnf_grammar(rng, 5, 3)
+        cnf = to_cnf(g)  # raises unless g is well-formed
+        assert check_well_formed(cnf).well_formed
 
 
 # --- acceptance-mode conversion ---------------------------------------------------

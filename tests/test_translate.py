@@ -3,17 +3,21 @@ import random
 import pytest
 
 from pegmachine.cooksim import run_linear
-from pegmachine.errors import GrammarInvariantError, NotCnfError, NotNormalError
+from pegmachine.errors import GrammarInvariantError, IllFormedError, NotCnfError, NotNormalError
 from pegmachine.peg import (
+    CnfGrammar,
     Consumed,
     FAILURE,
     Grammar,
     Nonterminal,
+    Sequence,
+    Terminal,
     accepts,
     desugar,
     interpret_naive,
     parse_grammar_text,
     to_cnf,
+    wellformed,
 )
 from pegmachine.pppda import (
     DOWN,
@@ -64,6 +68,20 @@ def test_compile_rejects_non_cnf(fig2):
     # Normal-form shapes, but the axiom on a right-hand side.
     with pytest.raises(GrammarInvariantError, match="right-hand side"):
         peg_to_dppda(parse_grammar_text('S <- A S\nA <- "a"'))
+
+
+def test_compile_pipeline_checks_well_formedness_once(fig2, monkeypatch):
+    calls = []
+    real = wellformed.check_well_formed
+    monkeypatch.setattr(wellformed, "check_well_formed", lambda g: calls.append(g) or real(g))
+    grammar_to_machine(fig2)
+    assert len(calls) == 1
+    # The public compile still checks its input.
+    a_b = Sequence(Nonterminal("A"), Nonterminal("B"))
+    left_recursive = CnfGrammar.build([("S", a_b), ("A", a_b), ("B", Terminal("b"))])
+    with pytest.raises(IllFormedError):
+        peg_to_dppda(left_recursive)
+    assert len(calls) == 2
 
 
 def test_compiled_machines_loop_free(fig2, sec13_union):
