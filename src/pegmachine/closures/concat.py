@@ -18,6 +18,7 @@ from __future__ import annotations
 from ..errors import CompositionError
 from ..pppda.machine import (
     DOWN,
+    HAT_DIRECTIONS,
     LEFT_MARK,
     Machine,
     MachineBuilder,
@@ -26,7 +27,6 @@ from ..pppda.machine import (
     RIGHT_MARK,
     UP,
 )
-from ..pppda.normalize import desugar_hat_moves
 from ..translate import (
     META_AXIOM_SYMBOL,
     META_FAIL_STATE,
@@ -82,6 +82,9 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
     fail_state = y.meta_value(META_FAIL_STATE)
 
     x_syms = [_xsym(z) for z in x.stack_alphabet]
+    gamma = [_BOTTOM] + x_syms + [_cp(q) for q in x.finals] + [
+        z for z in y.stack_alphabet if z != y.bottom
+    ]
     mb = MachineBuilder(
         _INIT,
         _BOTTOM,
@@ -89,10 +92,17 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
         finals=(_DRAIN,),
         meta=((META_KIND, "concat-dcfl"),),
         states=[_INIT, _DRAIN],
-        stack_alphabet=[_BOTTOM] + x_syms + [_cp(q) for q in x.finals]
-        + [z for z in y.stack_alphabet if z != y.bottom],
+        stack_alphabet=gamma,
     )
     emit = mb.emit
+    # The grammar machine's states are registered before the first hat
+    # move is expanded, so that no fresh hat name takes one of them.
+    for q in x.states:
+        mb.states.add(_go(q))
+        if q in x.finals:
+            mb.states.add(_try(q))
+    for q in y.states:
+        mb.states.add(q)
 
     def target(q: str) -> str:
         return _try(q) if q in x.finals else _go(q)
@@ -102,12 +112,9 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
     for (q, a, z), mv in y.delta.items():
         if z == y.bottom:
             continue
+        if mv.direction in HAT_DIRECTIONS:
+            mv = mb.hat(mv.state, mv.direction)
         emit(q, a, z, mv)
-
-    for q in x.states:
-        mb.states.add(_go(q))
-        if q in x.finals:
-            mb.states.add(_try(q))
 
     # Start: enter the DPDA with its own bottom above ours, head on cell 1.
     emit(_INIT, LEFT_MARK, _BOTTOM, Move(target(x.initial_state), (_xsym(x.bottom),), RIGHT))
@@ -130,9 +137,7 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
             emit(ok_state, a, _cp(q), resume)
         # Suffix parsed to the end: drain and accept.
         emit(ok_state, RIGHT_MARK, _cp(q), Move(_DRAIN, (), DOWN))
-    for z in mb.stack_alphabet:
+    # A hat symbol is popped as soon as it is pushed: the drain never meets one.
+    for z in gamma:
         emit(_DRAIN, RIGHT_MARK, z, Move(_DRAIN, (), DOWN))
-
-    for q in y.states:
-        mb.states.add(q)
-    return desugar_hat_moves(mb.build())
+    return mb.build()

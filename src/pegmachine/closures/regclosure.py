@@ -36,7 +36,6 @@ from ..pppda.machine import (
     RIGHT_MARK,
     UP,
 )
-from ..pppda.normalize import desugar_hat_moves
 from ..translate import META_KIND
 from .dfa import LabeledDfa
 from .dpda import ACCEPT, Dpda, EPSILON, dpda_run
@@ -96,6 +95,14 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
             if ch not in sigma:
                 sigma.append(ch)
 
+    # Stack symbol inventory; the hat symbols join it as they are expanded.
+    cps = [
+        _cp(q_dfa, label, qf)
+        for q_dfa in dfa.states for label in labels for qf in spec.bindings[label].finals
+    ]
+    gamma = [_BOTTOM] + [_marker(q_dfa, label) for q_dfa in dfa.states for label in labels]
+    gamma += [_dsym(label, z) for label in labels for z in spec.bindings[label].stack_alphabet]
+    gamma += cps
     mb = MachineBuilder(
         _INIT,
         _BOTTOM,
@@ -103,10 +110,10 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
         finals=(_DRAIN, _ACCEPT_EPS),
         meta=((META_KIND, "reg-closure"),),
         states=[_INIT, _DISPATCH, _ACCEPT_EPS, _DRAIN, _ROLLBACK, _ROLL_UP],
-        stack_alphabet=[_BOTTOM],
+        stack_alphabet=gamma,
     )
-    emit = mb.emit
-    states, gamma = mb.states, mb.stack_alphabet
+    emit, hat = mb.emit, mb.hat
+    states = mb.states
 
     def start_block(q_dfa: str, label: str) -> tuple[str, tuple[str, str]]:
         """Target state and (dpda bottom, marker) push for a fresh attempt."""
@@ -115,25 +122,12 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
         return sim, (_dsym(label, d.bottom), _marker(q_dfa, label))
 
     # Initial skip of the left marker, then dispatch on cell 1.
-    emit(_INIT, LEFT_MARK, _BOTTOM, Move(_DISPATCH, (), HAT_RIGHT))
+    emit(_INIT, LEFT_MARK, _BOTTOM, hat(_DISPATCH, HAT_RIGHT))
     if dfa.initial in dfa.finals:
         emit(_DISPATCH, RIGHT_MARK, _BOTTOM, Move(_ACCEPT_EPS, (), DOWN))
     sim, push = start_block(dfa.initial, labels[0])
     for a in sigma:
         emit(_DISPATCH, a, _BOTTOM, Move(sim, push, DOWN))
-
-    # Stack symbol inventory.
-    for q_dfa in dfa.states:
-        for label in labels:
-            gamma.add(_marker(q_dfa, label))
-    for label in labels:
-        for z in spec.bindings[label].stack_alphabet:
-            gamma.add(_dsym(label, z))
-    cps: list[str] = []
-    for q_dfa in dfa.states:
-        for label in labels:
-            for qf in spec.bindings[label].finals:
-                cps.append(gamma.add(_cp(q_dfa, label, qf)))
 
     next_label = {labels[i]: labels[i + 1] for i in range(len(labels) - 1)}
 
@@ -169,7 +163,7 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
                         if (q, EPSILON, z) in d.delta:
                             continue
                         emit(src, a, _dsym(label, z), Move(_ROLLBACK, (), DOWN))
-                    emit(src, a, marker, Move(_ROLLBACK, (), HAT_DOWN))
+                    emit(src, a, marker, hat(_ROLLBACK, HAT_DOWN))
 
             # Suspension: the DPDA sits in an accepting state.
             q_target = dfa.delta[(q_dfa, label)]
@@ -210,10 +204,10 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
                 mb.emit_any(_ROLL_UP, cp, Move(_sim(q_dfa, label, qf, "g"), (), UP))
     # _ROLL_UP on the bottom marker stays undefined: the search is exhausted.
 
+    # A hat symbol is popped as soon as it is pushed: the drain never meets one.
     for z in gamma:
         emit(_DRAIN, RIGHT_MARK, z, Move(_DRAIN, (), DOWN))
-
-    return desugar_hat_moves(mb.build())
+    return mb.build()
 
 
 def _target(q_dfa: str, label: str, q_dpda: str, d: Dpda) -> str:

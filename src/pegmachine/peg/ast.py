@@ -5,10 +5,11 @@ Empty, Terminal, Nonterminal, Sequence, Choice and Not; Star, Plus,
 Option, And, AnyChar and Fail are sugar that
 :func:`pegmachine.peg.transform.desugar` rewrites into core forms.  A node
 is a plain value: it carries no id, its equality and hash are structural
-and include its class (``Not(x) != Star(x)``), and assigning to a field
-raises.  So a node is built once, where it is made, and may be shared by
-several trees; the rewrites that name fresh rules after a node count its
-pre-order position as they visit it.
+and include its class (``Not(x) != Star(x)``), and setting or deleting
+any attribute raises ``FrozenInstanceError``.  So a node is built once,
+where it is made, and may be shared by several trees; the rewrites that
+name fresh rules after a node count its pre-order position as they visit
+it.
 
 :meth:`Grammar.build` walks each rule body once, without copying it, and
 gathers the alphabet, the referenced names, ``node_count`` (node
@@ -20,7 +21,7 @@ have no subclasses, so the walkers here dispatch on ``type(e)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, Mapping, Sequence as SeqT
 
 from ..errors import GrammarInvariantError, NotCnfError
@@ -38,64 +39,88 @@ class Expression:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen_setattr(self: Expression, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: Expression, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _node(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)``, refusing every attribute write.
+
+    The guard that dataclass generates for a slotted class calls
+    ``super()`` on the class that ``slots`` replaced (seen on Python 3.11),
+    so a write that is not to a field, and any write on a node without
+    fields, raises ``TypeError``.  These guards raise
+    ``FrozenInstanceError`` for every write; the generated ``__init__``
+    does not go through them.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+@_node
 class Empty(Expression):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Terminal(Expression):
     symbol: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Nonterminal(Expression):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Sequence(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Choice(Expression):
     first: Expression
     second: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Expression):
     inner: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Star(Expression):
     inner: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Plus(Expression):
     inner: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Option(Expression):
     inner: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Expression):
     inner: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class AnyChar(Expression):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Fail(Expression):
     pass
 

@@ -398,15 +398,16 @@ class MachineBuilder:
         moves right, or, when ``letter`` is empty (epsilon), acts on every
         letter and stays put.  It replaces ``top`` by ``push`` (top first)
         and enters ``target``.  A push that keeps ``top`` at its bottom
-        pushes only the rest, or is a hat move when nothing is left.  Any
-        other push pops ``top`` into the state ``replace``, which pushes
-        ``push`` on every letter over whichever of ``below`` is exposed.
+        pushes only the rest or, when nothing is left, is a hat move,
+        expanded by :meth:`hat`.  Any other push pops ``top`` into the
+        state ``replace``, which pushes ``push`` on every letter over
+        whichever of ``below`` is exposed.
         """
         step, hat = (RIGHT, HAT_RIGHT) if letter else (DOWN, HAT_DOWN)
         if not push:
             move = Move(target, (), step)
         elif push[-1] == top:
-            move = Move(target, push[:-1], step) if len(push) > 1 else Move(target, (), hat)
+            move = Move(target, push[:-1], step) if len(push) > 1 else self.hat(target, hat)
         else:
             self.states.note(replace)
             for z in below:

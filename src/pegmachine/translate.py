@@ -12,7 +12,9 @@ back to the episode's start, whose cell the bookkeeping symbol remembers).
 machine, started in state ``q`` with ``Z`` on top, finally pops that ``Z``
 into state ``p`` with pop direction ``d``; ``bar`` variants consume up to
 an ``up`` pop and ``any`` is the union of both directions.  The axiom is
-the union of ``[q0 Z0 f down]`` over final states ``f``.
+the union of ``[q0 Z0 f down]`` over final states ``f``.  Which rules can
+never match is decided on the lists of alternatives, before any rule is
+folded into an ordered choice, so each rule is built once.
 """
 
 from __future__ import annotations
@@ -206,32 +208,28 @@ def grammar_to_machine(g: Grammar) -> Machine:
 # --- machine to grammar ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BracketName:
-    """Tagged nonterminal names of extracted grammars."""
-
-    push_state: str
-    symbol: str
-    pop_state: str
-    tag: str  # dn up bar any
-
-    def render(self) -> str:
-        return f"[{self.push_state}.{self.symbol}.{self.pop_state}.{self.tag}]"
-
-
 _AXIOM_NAME = "#S"
 
 
-def dppda_to_peg(m: Machine, keep_all_states: bool = False) -> Grammar:
+def dppda_to_peg(m: Machine) -> Grammar:
     """Extract an acceptance-equivalent grammar from a normalized machine.
 
     ``m`` must be one-way, hat-free and in the five-property normal form
     (run :func:`pegmachine.pppda.normalize` first).  Rule alternatives are
     emitted per input letter in alphabet order (the right end marker
     last); their relative order does not affect the language.  States that
-    can never receive the relevant pop are skipped unless
-    ``keep_all_states`` is true; nonterminals unreachable from the axiom
-    are pruned.
+    can never receive the relevant pop are skipped.
+
+    Rules are named in breadth-first order from the axiom, and each is
+    built once, as a list of alternatives that carry the rules whose
+    failure makes them fail: a push outside ``&`` carries its episode and
+    rest, an ``any`` rule's two alternatives their ``dn`` and ``up`` rules,
+    and guards, ``""`` and ``&(...)`` carry none.  A rule fails when every
+    one of its alternatives does; the least fixpoint of that marks the
+    failing rules.  Their references are identities of ordered choice, so
+    the alternatives that carry one are dropped before each rule is folded
+    into a ``Choice`` chain, or into ``Fail`` when none is left.
+    Nonterminals unreachable from the axiom are pruned.
     """
     if m.two_way:
         raise NotNormalError("extraction needs a one-way machine")
@@ -239,184 +237,118 @@ def dppda_to_peg(m: Machine, keep_all_states: bool = False) -> Grammar:
 
     sigma = list(m.input_alphabet)
     letters = sigma + [RIGHT_MARK]
+    delta = m.delta
     # Pop targets per stack symbol: the only states an episode over that
     # symbol can ever report to.
     pop_targets: dict[str, list[str]] = {z: [] for z in m.stack_alphabet}
-    pop_targets_up: dict[str, list[str]] = {z: [] for z in m.stack_alphabet}
-    for (q, a, z), mv in m.delta.items():
-        if not mv.push:
-            if mv.state not in pop_targets[z]:
-                pop_targets[z].append(mv.state)
-            if mv.direction == UP and mv.state not in pop_targets_up[z]:
-                pop_targets_up[z].append(mv.state)
+    for (q, a, z), mv in delta.items():
+        if not mv.push and mv.state not in pop_targets[z]:
+            pop_targets[z].append(mv.state)
     state_order = {q: i for i, q in enumerate(m.states)}
-    for z in m.stack_alphabet:
-        pop_targets[z].sort(key=state_order.get)
-        pop_targets_up[z].sort(key=state_order.get)
-    if keep_all_states:
-        pop_targets = {z: list(m.states) for z in m.stack_alphabet}
-        pop_targets_up = dict(pop_targets)
+    for targets in pop_targets.values():
+        targets.sort(key=state_order.get)
 
     def guard_expr(a: str) -> Expression:
         """Check the head letter without consuming; ``!.`` plays &{end}."""
         return Not(AnyChar()) if a == RIGHT_MARK else And(Terminal(a))
 
-    def seq(*parts: Expression) -> Expression:
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Sequence(p, out)
-        return out
+    # Rule name -> (push state, symbol, pop state, tag), tag one of dn up
+    # bar any; ``order`` lists the names as they are first referenced.
+    parts: dict[str, tuple[str, str, str, str]] = {}
+    order: list[str] = [_AXIOM_NAME]
 
-    rules: dict[str, Expression] = {}
-    order: list[str] = []
-    pending: list[BracketName] = []
-    named: set[str] = set()
+    def ref(q: str, z: str, p: str, tag: str) -> str:
+        key = f"[{q}.{z}.{p}.{tag}]"
+        if key not in parts:
+            parts[key] = (q, z, p, tag)
+            order.append(key)
+        return key
 
-    def ref(name: BracketName) -> Nonterminal:
-        key = name.render()
-        if key not in named:
-            named.add(key)
-            pending.append(name)
-        return Nonterminal(key)
+    Alternatives = list[tuple[Expression, tuple[str, ...]]]
 
-    def alternatives(name: BracketName) -> list[Expression]:
+    def alternatives(q: str, z: str, p: str, tag: str) -> Alternatives:
         """Per-letter alternatives for one nonterminal, merged where letters
         sharing a move cover the whole alphabet (guards then partition the
         positions, so the guard layer is an identity and is elided)."""
-        q, z, p, tag = name.push_state, name.symbol, name.pop_state, name.tag
-        groups: dict[object, list[str]] = {}
+        groups: dict[Move, list[str]] = {}
         for a in letters:
-            mv = m.delta.get((q, a, z))
+            mv = delta.get((q, a, z))
             if mv is not None:
                 groups.setdefault(mv, []).append(a)
-        alts: list[Expression] = []
+        alts: Alternatives = []
         for mv, group in groups.items():
             full = len(group) == len(letters)
-            consuming_full = mv.push and mv.direction == RIGHT and set(group) >= set(sigma)
             if mv.push:
-                x = mv.push[0]
-                r = mv.state
+                x, r = mv.push[0], mv.state
+                if mv.direction == RIGHT:
+                    heads: list[Expression] = (
+                        [AnyChar()] if set(group) >= set(sigma)
+                        else [Terminal(a) for a in group if a != RIGHT_MARK]
+                    )
                 for s in pop_targets[x]:
-                    episode = ref(BracketName(r, x, s, "any"))
-                    if tag == "dn":
-                        rest: Expression = ref(BracketName(s, z, p, "dn"))
-                    else:
-                        rest = ref(BracketName(s, z, p, "bar"))
+                    episode = ref(r, x, s, "any")
+                    rest = ref(s, z, p, "dn" if tag == "dn" else "bar")
+                    body: Expression = Sequence(Nonterminal(episode), Nonterminal(rest))
+                    fails_with = () if tag == "up" else (episode, rest)
                     if mv.direction == RIGHT:
-                        heads: list[Expression] = (
-                            [AnyChar()] if consuming_full
-                            else [Terminal(a) for a in group if a != RIGHT_MARK]
-                        )
                         for head in heads:
-                            inner = seq(head, episode, rest)
-                            alts.append(And(inner) if tag == "up" else inner)
-                    else:
-                        body: Expression = (
-                            And(Sequence(episode, rest)) if tag == "up"
-                            else Sequence(episode, rest)
-                        )
-                        if full:
-                            alts.append(body)
-                        else:
-                            alts.extend(seq(guard_expr(a), body) for a in group)
-            else:
-                hit = mv.state == p and (mv.direction == DOWN) == (tag == "dn")
-                if hit:
+                            inner = Sequence(head, body)
+                            alts.append((And(inner) if tag == "up" else inner, fails_with))
+                        continue
+                    if tag == "up":
+                        body = And(body)
                     if full:
-                        alts.append(Empty())
+                        alts.append((body, fails_with))
                     else:
-                        alts.extend(guard_expr(a) for a in group)
-                # Mismatched pops contribute failing alternatives only; they
-                # are identities of ordered choice and are dropped.
+                        alts.extend((Sequence(guard_expr(a), body), fails_with) for a in group)
+            elif mv.state == p and (mv.direction == DOWN) == (tag == "dn"):
+                if full:
+                    alts.append((Empty(), ()))
+                else:
+                    alts.extend((guard_expr(a), ()) for a in group)
+            # Mismatched pops contribute failing alternatives only; they
+            # are identities of ordered choice and are dropped.
         return alts
 
-    def fold(alts: list[Expression]) -> Expression:
-        if not alts:
-            return Fail()
-        out = alts[-1]
-        for alt in reversed(alts[:-1]):
-            out = Choice(alt, out)
-        return out
+    def either(*keys: str) -> Alternatives:
+        return [(Nonterminal(k), (k,)) for k in keys]
 
-    axiom_alts = [
-        ref(BracketName(m.initial_state, m.bottom, f, "dn"))
-        for f in m.finals
-        if f in pop_targets[m.bottom] or keep_all_states
+    accepting = [
+        ref(m.initial_state, m.bottom, f, "dn") for f in m.finals if f in pop_targets[m.bottom]
     ]
-    rules[_AXIOM_NAME] = fold(list(axiom_alts))
-    order.append(_AXIOM_NAME)
-
-    while pending:
-        name = pending.pop(0)
-        key = name.render()
-        order.append(key)
-        if name.tag == "any":
-            rules[key] = Choice(
-                ref(BracketName(name.push_state, name.symbol, name.pop_state, "dn")),
-                ref(BracketName(name.push_state, name.symbol, name.pop_state, "up")),
-            )
+    rules: dict[str, Alternatives] = {_AXIOM_NAME: either(*accepting)}
+    i = 1
+    while i < len(order):
+        key = order[i]
+        i += 1
+        q, z, p, tag = parts[key]
+        if tag == "any":
+            rules[key] = either(ref(q, z, p, "dn"), ref(q, z, p, "up"))
         else:
-            rules[key] = fold(alternatives(name))
+            rules[key] = alternatives(q, z, p, tag)
 
-    rules = _drop_failing_alternatives(rules)
-    keep = reachable_from(rules, _AXIOM_NAME)
-    order = [name for name in order if name in keep]
-    return Grammar.build([(k, rules[k]) for k in order], axiom=_AXIOM_NAME, alphabet=sigma)
-
-
-def _drop_failing_alternatives(rules: dict[str, Expression]) -> dict[str, Expression]:
-    """Remove choice alternatives that provably always fail.
-
-    Failing alternatives are identities of ordered choice, so dropping them
-    preserves the recognized language while shrinking the grammar.  The
-    analysis propagates through sequences, choices and references only;
-    negations are treated as opaque.
-    """
+    # References point forward in breadth-first order more often than
+    # not, so walking the rules backwards settles most of them in a round.
     failing: set[str] = set()
-
-    def fails(e: Expression) -> bool:
-        if isinstance(e, Fail):
-            return True
-        if isinstance(e, Nonterminal):
-            return e.name in failing
-        if isinstance(e, Sequence):
-            return fails(e.left) or fails(e.right)
-        if isinstance(e, Choice):
-            return fails(e.first) and fails(e.second)
-        return False
-
     changed = True
     while changed:
         changed = False
-        for name, body in rules.items():
-            if name not in failing and fails(body):
-                failing.add(name)
+        for key, alts in reversed(rules.items()):
+            if key not in failing and all(not failing.isdisjoint(deps) for _, deps in alts):
+                failing.add(key)
                 changed = True
 
-    def rewrite(e: Expression) -> Expression:
-        if isinstance(e, Choice):
-            alts: list[Expression] = []
-            node: Expression = e
-            while isinstance(node, Choice):
-                alts.append(node.first)
-                node = node.second
-            alts.append(node)
-            kept = [a for a in (rewrite(x) for x in alts) if not fails(a)]
-            if not kept:
-                return Fail()
-            out = kept[-1]
-            for alt in reversed(kept[:-1]):
-                out = Choice(alt, out)
-            return out
-        if isinstance(e, Sequence):
-            return Sequence(rewrite(e.left), rewrite(e.right))
-        if isinstance(e, Not):
-            return Not(rewrite(e.inner))
-        if isinstance(e, And):
-            return And(rewrite(e.inner))
-        return e
-
-    return {name: (Fail() if name in failing else rewrite(body)) for name, body in rules.items()}
+    bodies: dict[str, Expression] = {}
+    for key, alts in rules.items():
+        kept = [e for e, deps in alts if failing.isdisjoint(deps)]
+        body = kept[-1] if kept else Fail()
+        for e in reversed(kept[:-1]):
+            body = Choice(e, body)
+        bodies[key] = body
+    keep = reachable_from(bodies, _AXIOM_NAME)
+    return Grammar.build(
+        [(k, bodies[k]) for k in order if k in keep], axiom=_AXIOM_NAME, alphabet=sigma
+    )
 
 
 # --- round trip -----------------------------------------------------------------

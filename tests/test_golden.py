@@ -8,7 +8,9 @@ grammars, and the normal form of each built-in machine.  The desugared
 and normal-form grammars name their fresh rules after the pre-order
 position of a node in the input grammar (``#k``, ``#c<k>``), so they pin
 the rewrites' numbering too; one more digest pins the desugared and
-normal-form text of a seeded corpus of random grammars, sugar included.
+normal-form text of a seeded corpus of random grammars, sugar included,
+and another the grammars extracted from the normal forms of a seeded
+corpus of machines: compiled random grammars and random one-way machines.
 The machine commands read the compiled ``.mach`` text, so the file reader
 and writer are pinned along with the constructions.
 
@@ -33,8 +35,11 @@ from pegmachine.pppda import (
     builtin_anbncn,
     builtin_loop,
     builtin_sweep,
+    normalize,
     render_machine_text,
 )
+from pegmachine.translate import dppda_to_peg, grammar_to_machine
+from test_machine_fuzz import random_machine, random_sweep_machine
 
 GRAMMARS = {"fig2": FIG2_TEXT, "sec13_union": SEC13_UNION_TEXT, "sec13_abc": SEC13_ABC_TEXT}
 BUILTINS = {"anbncn": builtin_anbncn, "loop": builtin_loop, "sweep": builtin_sweep}
@@ -94,6 +99,7 @@ BUILTIN_DIGESTS = {
 }
 
 CORPUS_DIGEST = "73814b2773118a61999b06b6b009c36c2f9a1129602c109d0c535a32ae580b6c"
+EXTRACT_CORPUS_DIGEST = "142a81abcc5134078e44a827eed0e32b2a65b055ac8776ced9562bfc2245cf4b"
 
 
 def _output(capsys, *argv: str) -> str:
@@ -137,3 +143,13 @@ def test_random_corpus_rewrites_are_pinned():
         core = desugar(random_general_grammar(rng, 5, 3))
         parts += [render_grammar_text(core), render_grammar_text(to_cnf(core))]
     assert _digest("".join(parts)) == CORPUS_DIGEST
+
+
+def test_random_machine_extractions_are_pinned():
+    rng = random.Random(1700)
+    machines = [grammar_to_machine(random_general_grammar(rng, 5, 3)) for _ in range(60)]
+    rng = random.Random(1701)
+    for _ in range(40):
+        machines += [random_machine(rng), random_sweep_machine(rng)]
+    texts = [render_grammar_text(dppda_to_peg(normalize(m))) for m in machines]
+    assert _digest("".join(texts)) == EXTRACT_CORPUS_DIGEST

@@ -123,6 +123,16 @@ def test_nodes_are_frozen_structural_values(node):
     assert len(set(_NODES)) == len(_NODES)
 
 
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_nodes_refuse_every_attribute_write(node):
+    """A field or any other name, set or deleted: always FrozenInstanceError."""
+    for name in [f.name for f in dataclasses.fields(node)] + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, _X)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+
+
 def test_normal_form_shapes_are_checked_by_both_constructions():
     rules = {"S": Sequence(Terminal("a"), Nonterminal("S"))}
     with pytest.raises(NotCnfError):

@@ -181,7 +181,7 @@ def test_extract_trivial_epsilon_machine():
 def test_extract_up_variants_never_consume():
     """R of an up-direction nonterminal either keeps the suffix or fails."""
     norm = normalize(peg_to_dppda(to_cnf(parse_grammar_text('@alphabet "ab"\nS <- "a"'))))
-    g = desugar(dppda_to_peg(norm, keep_all_states=False))
+    g = desugar(dppda_to_peg(norm))
     up_rules = [n for n in g.nonterminals if n.endswith(".up]")]
     assert up_rules
     for word in all_words("ab", 6):
