@@ -37,7 +37,7 @@ from .peg.interpret import DEFAULT_BUDGET, interpret_naive, interpret_packrat
 from .peg.parser import parse_grammar_text
 from .peg.transform import desugar, to_cnf
 from .peg.wellformed import check_well_formed
-from .pppda.machine import Machine, TraceEvent, run_direct, trace_direct
+from .pppda.machine import Machine, run_direct
 from .pppda.normalize import desugar_hat_moves, normalize
 from .pppda.text import parse_machine_text, render_machine_text
 from .translate import dppda_to_peg, grammar_to_machine
@@ -198,10 +198,8 @@ def cmd_run(args) -> int:
         print(run.outcome)
         _emit_stats(args, stats)
         return EXIT_ACCEPT if run.outcome == "accept" else EXIT_REJECT
-    if args.trace:
-        run = trace_direct(machine, word, _trace_printer(), _step_limit(args))
-    else:
-        run = run_direct(machine, word, step_limit=_step_limit(args))
+    printer = _trace_printer() if args.trace else None
+    run = run_direct(machine, word, _step_limit(args), printer)
     stats["direct.steps"] = run.steps
     print(run.outcome)
     _emit_stats(args, stats)
@@ -211,15 +209,17 @@ def cmd_run(args) -> int:
 
 
 def _trace_printer():
-    """A ``trace_direct`` callback printing one numbered line per event."""
+    """A ``run_direct`` event callback printing one numbered line per move.
+
+    The columns are the callback's arguments: move number, kind, new state,
+    new head, new stack depth and the popped entry's origin (``-`` for a
+    push).
+    """
     count = itertools.count()
 
-    def print_event(ev: TraceEvent) -> None:
-        origin = str(ev.popped[1]) if ev.popped else "-"
-        print(
-            f"{next(count)}\t{ev.kind}\t{ev.after.state}\t{ev.after.head}"
-            f"\t{len(ev.after.stack)}\t{origin}"
-        )
+    def print_event(kind: str, state: str, head: int, depth: int, origin: int | None) -> None:
+        popped = "-" if origin is None else origin
+        print(f"{next(count)}\t{kind}\t{state}\t{head}\t{depth}\t{popped}")
 
     return print_event
 

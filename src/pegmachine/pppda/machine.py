@@ -12,11 +12,17 @@ stack; they must be expanded before execution.
 A run starts in ``(initial, bottom at origin 0, head 0)`` and accepts when
 the final pop empties the stack in a final state with the head on the
 right end marker.
+
+:func:`run_direct` is the direct engine: one loop on the integer-coded δ
+(:class:`CodedDelta`), which reports each move to an optional callback
+for ``pegmachine trace``.  :func:`step` is the same relation written out
+on :class:`Configuration` values, one move at a time; it is the reference
+that the tests check the engine against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
@@ -505,21 +511,11 @@ ACCEPT, REJECT, BUDGET = "accept", "reject", "budget"
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    kind: str  # "push" or "pop"
-    before: Configuration
-    after: Configuration
-    popped: tuple[str, int] | None = None
-    pop_direction: str | None = None
-
-
-@dataclass(frozen=True)
 class DirectRun:
     outcome: str  # accept / reject / budget
     reason: str | None
     steps: int
     final: Configuration
-    trace: tuple[TraceEvent, ...] = field(default=(), repr=False)
 
 
 def default_step_limit(m: Machine, word: str) -> int:
@@ -544,22 +540,23 @@ def run_direct(
     m: Machine,
     word: str,
     step_limit: int | None = None,
-    collect_trace: bool = False,
+    on_event: Callable[[str, str, int, int, int | None], object] | None = None,
 ) -> DirectRun:
     """Iterate the move relation from the initial configuration.
 
     Accepts when the run halts with an empty stack in a final state with
     the head on the right end marker; any other halt rejects, with the
     reason recorded.  ``budget`` is returned after ``step_limit`` moves.
-    With ``collect_trace`` the run is :func:`trace_direct`'s, and every
-    event is kept in ``trace``.
+
+    After each move, ``on_event`` (when given) is called with the move's
+    kind (``"push"`` or ``"pop"``), the new state's name, the new head
+    position and stack depth, and the popped entry's origin (``None`` for
+    a push).  Nothing is kept, so a traced run takes the time and memory
+    of an untraced one plus the callback's.
     """
     if m.has_hat_moves:
         raise MachineInvariantError("run_direct needs a hat-free machine; desugar first")
     limit = default_step_limit(m, word) if step_limit is None else step_limit
-    if collect_trace:
-        trace: list[TraceEvent] = []
-        return replace(trace_direct(m, word, trace.append, limit), trace=tuple(trace))
     delta = m.coded_delta
     letters = delta.code_word(word)
     state = delta.state_code[m.initial_state]
@@ -582,36 +579,12 @@ def run_direct(
             origin = origins.pop()
             head = origin if up else head + offset
         steps += 1
+        if on_event is not None:
+            on_event(
+                "push" if push else "pop",
+                delta.decode_state(state),
+                head,
+                len(symbols),
+                None if push else origin,
+            )
     return _verdict(m, word, steps, delta.configuration(state, symbols, origins, head))
-
-
-def trace_direct(
-    m: Machine,
-    word: str,
-    on_event: Callable[[TraceEvent], object],
-    step_limit: int | None = None,
-) -> DirectRun:
-    """The reference run: iterate :func:`step` from :func:`initial_configuration`.
-
-    Each move is handed to ``on_event`` as a :class:`TraceEvent` as soon as
-    it is made and is not kept, so memory is bounded by the stack depth
-    rather than by the number of steps.  The result carries no trace.
-    """
-    if m.has_hat_moves:
-        raise MachineInvariantError("trace_direct needs a hat-free machine; desugar first")
-    limit = default_step_limit(m, word) if step_limit is None else step_limit
-    c = initial_configuration(m)
-    steps = 0
-    while True:
-        after = step(m, c, word)
-        if isinstance(after, Halt):
-            return _verdict(m, word, steps, c)
-        if steps >= limit:
-            return DirectRun(BUDGET, None, steps, c)
-        if len(after.stack) > len(c.stack):
-            on_event(TraceEvent("push", c, after))
-        else:
-            direction = m.delta[(c.state, letter_at(word, c.head), c.stack[0][0])].direction
-            on_event(TraceEvent("pop", c, after, c.stack[0], direction))
-        c = after
-        steps += 1

@@ -1,13 +1,18 @@
-"""Shared fixtures: reference grammars, machines, and word enumerations."""
+"""Shared fixtures: reference grammars, machines, word enumerations and runs."""
 
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import pytest
 
 from pegmachine.closures import Dpda, LabeledDfa
 from pegmachine.peg import parse_grammar_text
+from pegmachine.pppda import Configuration, Halt, Machine, initial_configuration, run_direct, step
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def all_words(sigma: str, max_len: int):
@@ -15,6 +20,40 @@ def all_words(sigma: str, max_len: int):
     for k in range(max_len + 1):
         for t in itertools.product(sigma, repeat=k):
             yield "".join(t)
+
+
+def child_env(env: dict[str, str] | None = None) -> dict[str, str]:
+    """The environment, plus ``env``, for a child ``python -m pegmachine.cli``.
+
+    The repository's ``src`` goes first on ``PYTHONPATH``, so the child
+    imports the package under test without an install.
+    """
+    full = dict(os.environ)
+    full.update(env or {})
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full.get("PYTHONPATH")]))
+    return full
+
+
+def configurations(m: Machine, word: str, limit: int | None = None) -> list[Configuration]:
+    """The reference run: :func:`step` iterated from the initial configuration.
+
+    Every configuration until the run halts, the initial one first, or
+    those of the first ``limit`` moves.
+    """
+    configs = [initial_configuration(m)]
+    while limit is None or len(configs) <= limit:
+        after = step(m, configs[-1], word)
+        if isinstance(after, Halt):
+            break
+        configs.append(after)
+    return configs
+
+
+def traced(m: Machine, word: str, step_limit: int | None = None):
+    """``run_direct``'s result and the events it reported, as tuples."""
+    events: list[tuple] = []
+    run = run_direct(m, word, step_limit, lambda *event: events.append(event))
+    return run, events
 
 
 FIG2_TEXT = """\

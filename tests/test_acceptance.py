@@ -43,7 +43,19 @@ from pegmachine.pppda import (
 )
 from pegmachine.translate import dppda_to_peg, grammar_to_machine, peg_to_dppda
 
-from conftest import FIG2_TEXT, SEC13_ABC_TEXT, SEC13_UNION_TEXT, all_words, dfa_pairs, dpda_anbn, dpda_cmd, dpda_single
+from conftest import (
+    FIG2_TEXT,
+    SEC13_ABC_TEXT,
+    SEC13_UNION_TEXT,
+    all_words,
+    child_env,
+    configurations,
+    dfa_pairs,
+    dpda_anbn,
+    dpda_cmd,
+    dpda_single,
+    traced,
+)
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -76,9 +88,11 @@ RUN_CHECKPOINTS = [
 def test_criterion_1_trace_replay():
     start = time.time()
     md = desugar_hat_moves(builtin_anbncn())
-    run = run_direct(md, "aaabbbccc", collect_trace=True)
+    run, events = traced(md, "aaabbbccc")
+    configs = configurations(md, "aaabbbccc")
     ok = run.outcome == "accept"
-    configs = [run.trace[0].before] + [ev.after for ev in run.trace]
+    # The engine's events replay the reference run move by move.
+    ok = ok and [ev[1:4] for ev in events] == [(c.state, c.head, len(c.stack)) for c in configs[1:]]
     expected = [Configuration(*c) for c in RUN_CHECKPOINTS]
     it = iter(configs)
     for want in expected:
@@ -350,5 +364,6 @@ def test_criterion_9_cli_exit_code():
         capture_output=True,
         text=True,
         cwd=Path(__file__).resolve().parent.parent,
+        env=child_env(),
     )
     _verdict("criterion 9: fuzz CLI exits 0", proc.returncode == 0)

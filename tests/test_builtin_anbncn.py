@@ -14,7 +14,7 @@ from pegmachine.pppda import (
     run_direct,
 )
 
-from conftest import all_words
+from conftest import all_words, configurations, traced
 
 
 def independent_oracle(word: str) -> bool:
@@ -74,9 +74,10 @@ CHECKPOINTS = [
 
 def test_trace_replays_the_worked_run():
     md = desugar_hat_moves(builtin_anbncn())
-    run = run_direct(md, "aaabbbccc", collect_trace=True)
+    run, events = traced(md, "aaabbbccc")
     assert run.outcome == "accept"
-    configs = [run.trace[0].before] + [ev.after for ev in run.trace]
+    configs = configurations(md, "aaabbbccc")
+    assert [ev[1:4] for ev in events] == [(c.state, c.head, len(c.stack)) for c in configs[1:]]
     expected = [Configuration(*c) for c in CHECKPOINTS]
     it = iter(configs)
     for want in expected:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIG2_TEXT, dfa_pairs, dpda_anbn, dpda_cmd, dpda_single
+from conftest import FIG2_TEXT, child_env, dfa_pairs, dpda_anbn, dpda_cmd, dpda_single
 from pegmachine import cli
 from pegmachine.closures import render_dfa_text, render_dpda_text
 from pegmachine.pppda import builtin_anbncn, builtin_loop, builtin_sweep, render_machine_text
@@ -16,15 +16,12 @@ PKG_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv, cwd=None, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "pegmachine.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd or PKG_ROOT,
-        env=full_env,
+        env=child_env(env),
     )
 
 
@@ -182,7 +179,7 @@ def test_trace_output_format(fig2_file, tmp_path):
 
 
 def test_trace_of_a_pushing_loop_streams_its_events(tmp_path, capsys):
-    """A traced run holds one configuration at a time, not every event."""
+    """A traced run keeps nothing per event: each line is printed as the move is made."""
     import tracemalloc
 
     from pegmachine.cli import EXIT_BUDGET, main

@@ -11,6 +11,8 @@ the rewrites' numbering too; one more digest pins the desugared and
 normal-form text of a seeded corpus of random grammars, sugar included,
 and another the grammars extracted from the normal forms of a seeded
 corpus of machines: compiled random grammars and random one-way machines.
+The ``trace`` lines of the direct engine are pinned too, on the reference
+grammars and the built-in machines, one run ending in ``budget``.
 The machine commands read the compiled ``.mach`` text, so the file reader
 and writer are pinned along with the constructions.
 
@@ -100,6 +102,8 @@ BUILTIN_DIGESTS = {
 
 CORPUS_DIGEST = "73814b2773118a61999b06b6b009c36c2f9a1129602c109d0c535a32ae580b6c"
 EXTRACT_CORPUS_DIGEST = "142a81abcc5134078e44a827eed0e32b2a65b055ac8776ced9562bfc2245cf4b"
+TRACE_WORDS = ("", "ab", "abc", "aabbcc", "aaab")
+TRACE_DIGEST = "13568a29c50bd695577aca48ba8768f6041614f4e72d2a904dcb022a3f92d7fb"
 
 
 def _output(capsys, *argv: str) -> str:
@@ -153,3 +157,21 @@ def test_random_machine_extractions_are_pinned():
         machines += [random_machine(rng), random_sweep_machine(rng)]
     texts = [render_grammar_text(dppda_to_peg(normalize(m))) for m in machines]
     assert _digest("".join(texts)) == EXTRACT_CORPUS_DIGEST
+
+
+def test_trace_output_is_pinned(tmp_path, capsys):
+    files = {}
+    for name, text in GRAMMARS.items():
+        files[name] = tmp_path / f"{name}.peg"
+        files[name].write_text(text)
+    for name in ("anbncn", "sweep", "loop"):
+        files[name] = tmp_path / f"{name}.mach"
+        files[name].write_text(render_machine_text(BUILTINS[name]()))
+    runs = [(name, word) for name in files if name != "loop" for word in TRACE_WORDS]
+    runs.append(("loop", "a", "--step-limit", "500"))  # pushes and pops forever
+    parts = []
+    for name, *args in runs:
+        capsys.readouterr()
+        code = cli.main(["trace", str(files[name]), *args])
+        parts.append(f"{name} {args} exit {code}\n{capsys.readouterr().out}")
+    assert _digest("".join(parts)) == TRACE_DIGEST

@@ -18,12 +18,15 @@ from pegmachine.pppda import (
     builtin_anbncn,
     desugar_hat_moves,
     initial_configuration,
+    letter_at,
     parse_machine_text,
     render_machine_text,
     run_direct,
     step,
 )
 from pegmachine.translate import grammar_to_machine
+
+from conftest import configurations, traced
 
 ANBNCN_SOURCE = """\
 @twoway no
@@ -232,7 +235,7 @@ def test_end_markers_inside_the_word_are_foreign_letters(word):
     run = run_direct(md, word)
     assert (run.outcome, run.reason) == ("reject", "no-transition")
     assert run == run_direct(md, foreign)
-    assert run_direct(md, word, collect_trace=True) == run_direct(md, foreign, collect_trace=True)
+    assert traced(md, word) == traced(md, foreign)
     lin = run_linear(md, word)
     assert (lin.outcome, lin.reason) == ("reject", "stuck")
     assert lin == run_linear(md, foreign)
@@ -241,38 +244,45 @@ def test_end_markers_inside_the_word_are_foreign_letters(word):
 # --- trace invariants -----------------------------------------------------------
 
 
-def _traced(word):
+def _moves(word):
+    """The (before, after) configuration pairs of the reference run on ``word``."""
     md = desugar_hat_moves(builtin_anbncn())
-    return md, run_direct(md, word, collect_trace=True)
+    configs = configurations(md, word)
+    return md, run_direct(md, word), list(zip(configs, configs[1:]))
+
+
+def _pop_direction(md, word, before):
+    return md.delta[(before.state, letter_at(word, before.head), before.stack[0][0])].direction
 
 
 @pytest.mark.parametrize("word", ["aaabbbccc", "aabbcc", "aabbc", "abca", "cab"])
 def test_pointer_discipline_and_pop_directions(word):
-    md, run = _traced(word)
-    for ev in run.trace:
-        if ev.kind == "push":
+    md, _, moves = _moves(word)
+    for before, after in moves:
+        if len(after.stack) > len(before.stack):
             # Every new entry's origin is the head right after the move.
-            depth_gain = len(ev.after.stack) - len(ev.before.stack)
+            depth_gain = len(after.stack) - len(before.stack)
             assert depth_gain >= 1
-            for sym, origin in ev.after.stack[:depth_gain]:
-                assert origin == ev.after.head
+            for sym, origin in after.stack[:depth_gain]:
+                assert origin == after.head
         else:
-            assert len(ev.after.stack) == len(ev.before.stack) - 1
-            if ev.pop_direction == UP:
-                assert ev.after.head == ev.popped[1]
-            elif ev.pop_direction == DOWN:
-                assert ev.after.head == ev.before.head
+            assert len(after.stack) == len(before.stack) - 1
+            direction = _pop_direction(md, word, before)
+            if direction == UP:
+                assert after.head == before.stack[0][1]
+            elif direction == DOWN:
+                assert after.head == before.head
 
 
 @pytest.mark.parametrize("word", ["aaabbbccc", "aabbcc"])
 def test_bottom_popped_only_at_accepting_last_move(word):
-    md, run = _traced(word)
+    md, run, moves = _moves(word)
     assert run.outcome == "accept"
-    for i, ev in enumerate(run.trace):
-        bottoms = [s for s, _ in ev.after.stack if s == "Z0"]
-        if i < len(run.trace) - 1:
+    for i, (_, after) in enumerate(moves):
+        bottoms = [s for s, _ in after.stack if s == "Z0"]
+        if i < len(moves) - 1:
             assert bottoms == ["Z0"]
-    assert run.trace[-1].popped[0] == "Z0"
+    assert moves[-1][0].stack[0][0] == "Z0"
 
 
 # --- text round trip ------------------------------------------------------------

@@ -9,7 +9,6 @@ sweep machines make the run depend on the origins: every pushed symbol's
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -34,7 +33,7 @@ from pegmachine.pppda import (
     step,
 )
 
-from conftest import all_words
+from conftest import all_words, configurations, traced
 
 SIGMA = "ab"
 
@@ -182,6 +181,20 @@ def stepped_run(m: Machine, word: str, limit: int) -> tuple:
     return "reject" if reason else "accept", reason, steps, c
 
 
+def stepped_events(configs) -> list[tuple]:
+    """The ``run_direct`` events the moves between ``configs`` make.
+
+    One (kind, state, head, depth, popped origin) per move, the kind read
+    from the change in stack depth.
+    """
+    return [
+        ("push", c.state, c.head, len(c.stack), None)
+        if len(c.stack) > len(b.stack)
+        else ("pop", c.state, c.head, len(c.stack), b.stack[0][1])
+        for b, c in zip(configs, configs[1:])
+    ]
+
+
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("make", [random_machine, random_two_way_machine])
 def test_direct_engine_matches_stepping(make, seed):
@@ -189,8 +202,9 @@ def test_direct_engine_matches_stepping(make, seed):
     for word in all_words(SIGMA, 5):
         run = run_direct(m, word, step_limit=300)
         assert (run.outcome, run.reason, run.steps, run.final) == stepped_run(m, word, 300), word
-        traced = run_direct(m, word, step_limit=300, collect_trace=True)
-        assert replace(traced, trace=()) == run and len(traced.trace) == run.steps, word
+        again, events = traced(m, word, 300)
+        assert again == run and len(events) == run.steps, word
+        assert events == stepped_events(configurations(m, word, 300)), word
 
 
 @pytest.mark.parametrize("seed", range(40))

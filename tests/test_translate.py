@@ -38,7 +38,7 @@ from pegmachine.translate import (
     roundtrip_check,
 )
 
-from conftest import all_words
+from conftest import all_words, configurations
 
 
 def test_compile_single_terminal():
@@ -95,9 +95,7 @@ def test_invariant_main_state_head_at_top_origin(fig2):
     """In the work state with a grammar symbol on top, head == its origin."""
     m = grammar_to_machine(fig2)
     for word in ("aab", "abbc", "bacc"):
-        run = run_direct(m, word, collect_trace=True)
-        for ev in run.trace:
-            c = ev.after
+        for c in configurations(m, word)[1:]:
             if c.state == "peg:q" and c.stack and c.stack[0][0].startswith("sym:"):
                 assert c.head == c.stack[0][1], (word, c)
 
@@ -107,9 +105,7 @@ def test_invariant_signed_states_report_parse_outcomes(fig2):
     cnf = to_cnf(desugar(fig2))
     m = peg_to_dppda(cnf)
     for word in ("aab", "abbc"):
-        run = run_direct(m, word, collect_trace=True)
-        for ev in run.trace:
-            c = ev.before
+        for c in configurations(m, word)[:-1]:
             state = c.state
             if not (state.startswith("peg:") and state[-1] in "+-"):
                 continue
