@@ -14,7 +14,7 @@ import argparse
 import itertools
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .closures import (
@@ -328,18 +328,18 @@ def cmd_fuzz(args) -> int:
 
 def cmd_compose(args) -> int:
     op = args.operation
+    files = 1 if op in ("complement", "reg-closure") else 2
+    if len(args.paths) != files:
+        wanted = "one file" if files == 1 else "two files"
+        raise _Invalid(f"{op} takes {wanted}, not {len(args.paths)}")
     if op == "complement":
         g = _require_grammar(args.paths[0])
         _write_out(args, render_grammar_text(pel_complement(g)))
     elif op in ("union", "intersect"):
-        if len(args.paths) != 2:
-            raise _Invalid(f"{op} needs two grammar files")
         g1, g2 = _require_grammar(args.paths[0]), _require_grammar(args.paths[1])
         out = pel_union(g1, g2) if op == "union" else pel_intersection(g1, g2)
         _write_out(args, render_grammar_text(out))
     elif op == "concat-dcfl":
-        if len(args.paths) != 2:
-            raise _Invalid("concat-dcfl needs a DPDA file and a grammar/machine file")
         x = _load_any(args.paths[0])
         if not isinstance(x, Dpda):
             raise _Invalid(f"{args.paths[0]}: concat-dcfl needs a DPDA file (@kind dpda) first")
@@ -479,29 +479,36 @@ COMMANDS = {
 }
 
 
-def _top_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="pegmachine", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_))
-    return top
+@cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of ``command``, or the full parser for None; built on first use.
+
+    Parsing keeps no state in a parser, so one is shared by every call.
+    """
+    if command is None:
+        top = argparse.ArgumentParser(prog="pegmachine", description=__doc__)
+        sub = top.add_subparsers(dest="command", required=True)
+        for name, (help_, add_arguments) in COMMANDS.items():
+            add_arguments(sub.add_parser(name, help=help_))
+        return top
+    parser = argparse.ArgumentParser(prog=f"pegmachine {command}")
+    COMMANDS[command][1](parser)
+    return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse with the named command's parser alone; the full parser otherwise.
 
-    The full parser, which lists every command in its usage line, is built
+    Each parser is built once per process, on first use (:func:`_parser`).
+    The full parser, which lists every command in its usage line, is used
     only for top-level help, a missing or unknown command and unrecognized
     arguments.
     """
     if not argv or argv[0] not in COMMANDS:
-        return _top_parser().parse_args(argv)
-    _, add_arguments = COMMANDS[argv[0]]
-    parser = argparse.ArgumentParser(prog=f"pegmachine {argv[0]}")
-    add_arguments(parser)
-    args, extra = parser.parse_known_args(argv[1:])
+        return _parser(None).parse_args(argv)
+    args, extra = _parser(argv[0]).parse_known_args(argv[1:])
     if extra:
-        _top_parser().parse_args(argv)  # exits with the top-level usage error
+        _parser(None).parse_args(argv)  # exits with the top-level usage error
     return args
 
 

@@ -36,7 +36,7 @@ particular a pushed symbol that pops at once costs one δ read and one op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MachineInvariantError
 from .pppda.machine import DOWN, LEFT, Machine, RIGHT, UP, letter_at
@@ -167,8 +167,7 @@ def terminator(
         head = origin if up else head + offset
 
 
-@dataclass(frozen=True)
-class LinearRun:
+class LinearRun(NamedTuple):
     outcome: str  # accept / reject
     reason: str | None
     ops: int
@@ -206,8 +205,7 @@ def run_linear(m: Machine, word: str) -> LinearRun:
     return LinearRun(REJECT, "not-at-right-end", ops, size)
 
 
-@dataclass(frozen=True)
-class WorkReport:
+class WorkReport(NamedTuple):
     ops: int
     bound: int
 

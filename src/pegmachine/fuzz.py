@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cooksim import run_linear
 from .peg.ast import (
@@ -38,8 +39,7 @@ from .pppda.normalize import normalize
 from .translate import dppda_to_peg, peg_to_dppda
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(NamedTuple):
     seed: int = 1
     cases: int = 200
     max_nonterminals: int = 4
@@ -49,8 +49,7 @@ class FuzzConfig:
     naive_budget: int = DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(NamedTuple):
     case_index: int
     grammar_text: str
     word: str

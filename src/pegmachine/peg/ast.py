@@ -9,20 +9,23 @@ and include its class (``Not(x) != Star(x)``), and setting or deleting
 any attribute raises ``FrozenInstanceError``.  So a node is built once,
 where it is made, and may be shared by several trees; the rewrites that
 name fresh rules after a node count its pre-order position as they visit
-it.
+it.  Nodes and outcomes are plain classes, not dataclasses, so importing
+this module compiles no generated code (see :class:`Expression`).
 
 :meth:`Grammar.build` walks each rule body once, without copying it, and
 gathers the alphabet, the referenced names, ``node_count`` (node
 occurrences, a shared subtree counted at each) and ``is_core``, so a
-built grammar is never walked again to check or measure it.  Node types
-have no subclasses, so the walkers here dispatch on ``type(e)``.
+built grammar is never walked again to check or measure it.  The node
+types that are built have no subclasses, so the walkers here dispatch on
+``type(e)``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterator, Mapping, Sequence as SeqT
+from operator import attrgetter
+from typing import Iterator, Mapping, NamedTuple, Sequence as SeqT
 
 from ..errors import GrammarInvariantError, NotCnfError
 
@@ -34,95 +37,110 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class Expression:
-    """Base class for expression nodes."""
+    """Base class for expression nodes: frozen, slotted, structural values.
 
+    A node class names its fields in ``__slots__`` and ``__match_args__``
+    and sets them in its ``__init__`` through ``object.__setattr__``.  Equality,
+    hash, the ``Sequence(left=..., right=...)`` repr and the guards raising
+    ``FrozenInstanceError`` on every write come from here, keyed on that field
+    tuple.  As dataclasses, the node classes generated and compiled these
+    methods at every import, a large part of each command's start-up.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _key = staticmethod(lambda node: ())  # the field values, compared and hashed
+
+    def __init_subclass__(cls) -> None:
+        if cls.__match_args__:
+            cls._key = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Empty(Expression):
     __slots__ = ()
 
 
-def _frozen_setattr(self: Expression, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self: Expression, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _node(cls: type) -> type:
-    """``dataclass(frozen=True, slots=True)``, refusing every attribute write.
-
-    The guard that dataclass generates for a slotted class calls
-    ``super()`` on the class that ``slots`` replaced (seen on Python 3.11),
-    so a write that is not to a field, and any write on a node without
-    fields, raises ``TypeError``.  These guards raise
-    ``FrozenInstanceError`` for every write; the generated ``__init__``
-    does not go through them.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
-    return cls
-
-
-@_node
-class Empty(Expression):
-    pass
-
-
-@_node
 class Terminal(Expression):
-    symbol: str
+    __slots__ = __match_args__ = ("symbol",)
+
+    def __init__(self, symbol: str) -> None:
+        object.__setattr__(self, "symbol", symbol)
 
 
-@_node
 class Nonterminal(Expression):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@_node
 class Sequence(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expression, right: Expression) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@_node
 class Choice(Expression):
-    first: Expression
-    second: Expression
+    __slots__ = __match_args__ = ("first", "second")
+
+    def __init__(self, first: Expression, second: Expression) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
 
-@_node
-class Not(Expression):
-    inner: Expression
+class _Unary(Expression):
+    __slots__ = __match_args__ = ("inner",)
+
+    def __init__(self, inner: Expression) -> None:
+        object.__setattr__(self, "inner", inner)
 
 
-@_node
-class Star(Expression):
-    inner: Expression
+class Not(_Unary):
+    __slots__ = ()
 
 
-@_node
-class Plus(Expression):
-    inner: Expression
+class Star(_Unary):
+    __slots__ = ()
 
 
-@_node
-class Option(Expression):
-    inner: Expression
+class Plus(_Unary):
+    __slots__ = ()
 
 
-@_node
-class And(Expression):
-    inner: Expression
+class Option(_Unary):
+    __slots__ = ()
 
 
-@_node
+class And(_Unary):
+    __slots__ = ()
+
+
 class AnyChar(Expression):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Fail(Expression):
-    pass
+    __slots__ = ()
 
 
 _CORE_TYPES = frozenset((Empty, Terminal, Nonterminal, Sequence, Choice, Not))
@@ -184,23 +202,33 @@ def is_letter(ch: str) -> bool:
 # --- recognition outcomes ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Consumed:
+class Consumed(NamedTuple):
     """Success: ``resume`` is the 0-based offset of the unconsumed suffix."""
 
     resume: int
 
 
-@dataclass(frozen=True)
-class Failure:
-    pass
+class _Singleton:
+    """A field-less outcome: its class has one instance, which ``X()`` returns."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        cls.instance = cls.__dict__.get("instance") or super().__new__(cls)
+        return cls.instance
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
-class Diverged:
+class Failure(_Singleton):
+    __slots__ = ()
+
+
+class Diverged(_Singleton):
     """The budgeted interpreter ran out of steps (naive engine only)."""
 
-    pass
+    __slots__ = ()
 
 
 ParseOutcome = Consumed | Failure | Diverged

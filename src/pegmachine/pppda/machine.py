@@ -441,8 +441,7 @@ class MachineBuilder:
 # --- configurations and stepping ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """State, stack of (symbol, origin) pairs with the top first, and head."""
 
     state: str
@@ -450,8 +449,7 @@ class Configuration:
     head: int
 
 
-@dataclass(frozen=True)
-class Halt:
+class Halt(NamedTuple):
     reason: str  # "no-transition" or "empty-stack"
 
 
@@ -510,8 +508,7 @@ def step(m: Machine, c: Configuration, word: str) -> Configuration | Halt:
 ACCEPT, REJECT, BUDGET = "accept", "reject", "budget"
 
 
-@dataclass(frozen=True)
-class DirectRun:
+class DirectRun(NamedTuple):
     outcome: str  # accept / reject / budget
     reason: str | None
     steps: int

@@ -19,7 +19,7 @@ folded into an ordered choice, so each rule is built once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotCnfError, NotNormalError
 from .peg.ast import (
@@ -354,8 +354,7 @@ def dppda_to_peg(m: Machine) -> Grammar:
 # --- round trip -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(NamedTuple):
     words_checked: int
     disagreements: tuple[tuple[str, bool, bool, bool], ...]  # word, peg, machine, extracted
 

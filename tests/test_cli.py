@@ -2,7 +2,6 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -240,17 +239,43 @@ def test_compose_concat_and_reg_closure(tmp_path):
     assert run_cli("run", str(out), "aabbcc").returncode == 0
     assert run_cli("run", str(out), "aabc").returncode == 1
 
-    dfa_file = tmp_path / "pairs.dfa"
-    dfa_file.write_text(render_dfa_text(dfa_pairs()))
-    cmd_file = tmp_path / "cmd.dpda"
-    cmd_file.write_text(render_dpda_text(dpda_cmd()))
-    spec = tmp_path / "spec.txt"
-    spec.write_text(f"@dfa {dfa_file.name}\n@bind l1 {dpda_file.name}\n@bind l2 {cmd_file.name}\n")
+    spec = _reg_closure_spec(tmp_path)
     rc = tmp_path / "rc.mach"
     assert run_cli("compose", "reg-closure", str(spec), "-o", str(rc)).returncode == 0
     assert run_cli("run", str(rc), "abcd").returncode == 0
     assert run_cli("run", str(rc), "abab").returncode == 1
     assert run_cli("run", str(rc), "abcd", "--engine", "cook").returncode == 0
+
+
+def _reg_closure_spec(tmp_path):
+    """A composition spec over the pairs DFA, binding a^n b^n and c^m d^m."""
+    for name, text in (
+        ("anbn.dpda", render_dpda_text(dpda_anbn())),
+        ("pairs.dfa", render_dfa_text(dfa_pairs())),
+        ("cmd.dpda", render_dpda_text(dpda_cmd())),
+        ("spec.txt", "@dfa pairs.dfa\n@bind l1 anbn.dpda\n@bind l2 cmd.dpda\n"),
+    ):
+        (tmp_path / name).write_text(text)
+    return tmp_path / "spec.txt"
+
+
+@pytest.mark.parametrize("op", ["complement", "reg-closure"])
+def test_compose_refuses_extra_files(op, tmp_path, fig2_file, capsys):
+    """A one-file operation given two files exits 2; it does not use the first alone."""
+    path = fig2_file if op == "complement" else str(_reg_closure_spec(tmp_path))
+    out = tmp_path / "out.txt"
+    assert cli.main(["compose", op, path, path, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {op} takes one file, not 2\n"
+    assert not out.exists()
+    assert cli.main(["compose", op, path, "-o", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("op", ["union", "intersect", "concat-dcfl"])
+def test_compose_two_file_operations_refuse_one(op, fig2_file, capsys):
+    assert cli.main(["compose", op, fig2_file]) == 2
+    assert capsys.readouterr().err == f"error: {op} takes two files, not 1\n"
 
 
 def test_bench_asserts_linear(tmp_path):
@@ -306,7 +331,7 @@ def test_bench_assert_linear_passes_linear_or_better_cost(builtin, tmp_path, cap
 
 def test_bench_assert_linear_fails_superlinear_cost(tmp_path, monkeypatch, capsys):
     real = cli.run_linear
-    monkeypatch.setattr(cli, "run_linear", lambda m, w: replace(real(m, w), ops=len(w) ** 2))
+    monkeypatch.setattr(cli, "run_linear", lambda m, w: real(m, w)._replace(ops=len(w) ** 2))
     mach = tmp_path / "anbncn.mach"
     mach.write_text(ANBNCN_SOURCE)
     argv = ["bench", str(mach), "--family", "a", "--sizes", "5,10", "--assert-linear"]
@@ -368,7 +393,9 @@ def exit_code(argv):
         return exc.code
 
 
-def test_one_command_builds_one_parser(fig2_file, capsys, monkeypatch):
+@pytest.fixture()
+def built_parsers(monkeypatch):
+    """The ``prog`` of every parser built while the test runs, from an empty cache."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -377,9 +404,59 @@ def test_one_command_builds_one_parser(fig2_file, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    yield built
+    cli._parser.cache_clear()  # drop the parsers built by the counting __init__
+
+
+def test_one_command_builds_one_parser(fig2_file, capsys, built_parsers):
     assert cli.main(["check", fig2_file]) == 0
-    assert built == ["pegmachine check"]
+    assert built_parsers == ["pegmachine check"]
     assert capsys.readouterr().out.startswith("well-formed")
+    # Later calls, of this command or another, reuse what is built.
+    for _ in range(2):
+        assert cli.main(["check", fig2_file]) == 0
+        assert cli.main(["run", fig2_file, "aab"]) == 0
+    assert built_parsers == ["pegmachine check", "pegmachine run"]
+    for _ in range(2):
+        assert exit_code(["check", fig2_file, "--seed", "1"]) == 2
+    assert built_parsers[2] == "pegmachine" and built_parsers.count("pegmachine") == 1
+    capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built, init = [], argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(a) or init(*a, **k)\n"
+        "import pegmachine.cli as cli\n"
+        "print(len(built), cli._parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_a_shared_parser_keeps_no_state_between_calls(fig2_file, tmp_path, capsys):
+    """Options of one call do not carry over to the next call of the same parser."""
+    mach = tmp_path / "anbncn.mach"
+    mach.write_text(ANBNCN_SOURCE)
+    assert cli.main(["run", fig2_file, "aab", "--stats"]) == 0
+    assert "---" in capsys.readouterr().out
+    assert cli.main(["run", fig2_file, "aab"]) == 0
+    assert capsys.readouterr().out == "accept\n"
+    assert cli.main(["trace", str(mach), "abc"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 1
+    assert cli.main(["run", str(mach), "abc"]) == 0
+    assert capsys.readouterr().out == "accept\n"
+    assert cli.main(["run", fig2_file, "aab", "--budget", "5"]) == 0
+    capsys.readouterr()
+    assert exit_code(["run", fig2_file, "aab", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: pegmachine run ")
+    assert cli._parser("run") is cli._parser("run")
 
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
@@ -390,7 +467,7 @@ def test_command_help_is_the_full_parsers(name, capsys):
     routed = capsys.readouterr().out
     assert routed.startswith(f"usage: pegmachine {name} [-h]")
     with pytest.raises(SystemExit):
-        cli._top_parser().parse_args([name, "-h"])
+        cli._parser(None).parse_args([name, "-h"])
     assert capsys.readouterr().out == routed
 
 

@@ -4,19 +4,27 @@ constructed directly."""
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import pegmachine
 from pegmachine.errors import GrammarInvariantError, NotCnfError
 from pegmachine.fuzz import random_cnf_grammar, random_general_grammar
 from pegmachine.peg import (
+    DIVERGED,
+    FAILURE,
     And,
     AnyChar,
     Choice,
     CnfGrammar,
+    Consumed,
+    Diverged,
     Empty,
     Fail,
+    Failure,
     Grammar,
     Nonterminal,
     Not,
@@ -111,7 +119,7 @@ _NODES = [
 
 @pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
 def test_nodes_are_frozen_structural_values(node):
-    fields = [f.name for f in dataclasses.fields(node)]
+    fields = node.__match_args__
     copy = type(node)(*(getattr(node, f) for f in fields))
     assert copy == node and hash(copy) == hash(node) and copy is not node
     for f in fields:
@@ -126,11 +134,62 @@ def test_nodes_are_frozen_structural_values(node):
 @pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
 def test_nodes_refuse_every_attribute_write(node):
     """A field or any other name, set or deleted: always FrozenInstanceError."""
-    for name in [f.name for f in dataclasses.fields(node)] + ["extra"]:
+    for name in node.__match_args__ + ("extra",):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, _X)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(node, name)
+
+
+def test_node_reprs_are_pinned():
+    """Error messages print nodes, so their reprs are part of the interface."""
+    assert [repr(node) for node in _NODES] == [
+        "Empty()",
+        "Terminal(symbol='a')",
+        "Nonterminal(name='A')",
+        "Sequence(left=Terminal(symbol='x'), right=Nonterminal(name='Y'))",
+        "Choice(first=Terminal(symbol='x'), second=Nonterminal(name='Y'))",
+        "Not(inner=Terminal(symbol='x'))",
+        "Star(inner=Terminal(symbol='x'))",
+        "Plus(inner=Terminal(symbol='x'))",
+        "Option(inner=Terminal(symbol='x'))",
+        "And(inner=Terminal(symbol='x'))",
+        "AnyChar()",
+        "Fail()",
+    ]
+    pinned = "Sequence(left=Terminal(symbol='a'), right=Empty())"
+    assert repr(Sequence(Terminal("a"), Empty())) == pinned
+
+
+def test_outcomes_are_distinct_values():
+    assert FAILURE != DIVERGED and Failure() is FAILURE and Diverged() is DIVERGED
+    assert Consumed(0) != FAILURE and Consumed(0) != DIVERGED
+    assert Consumed(2) == Consumed(2) and Consumed(2) != Consumed(3)
+    assert (repr(FAILURE), repr(DIVERGED), repr(Consumed(2))) == (
+        "Failure()", "Diverged()", "Consumed(resume=2)"
+    )
+    assert Not(_X) != Star(_X) and Not(_X) == Not(Terminal("x"))
+
+
+# The classes that validate in ``__post_init__`` or cache, and so stay
+# dataclasses; every other record is a named tuple or a plain class, whose
+# import generates no code.
+_DATACLASSES = {
+    "Grammar", "Machine", "WfReport", "Dpda", "LabeledDfa", "CompositionSpec", "FuzzReport",
+}
+
+
+def test_only_the_validating_classes_are_dataclasses():
+    classes = set()
+    for info in pkgutil.walk_packages(pegmachine.__path__, "pegmachine."):
+        module = importlib.import_module(info.name)
+        classes.update(v for v in vars(module).values() if isinstance(v, type))
+    found = {
+        cls.__name__
+        for cls in classes
+        if cls.__module__.startswith("pegmachine.") and dataclasses.is_dataclass(cls)
+    }
+    assert found == _DATACLASSES | {"CnfGrammar"}  # CnfGrammar inherits Grammar's fields
 
 
 def test_normal_form_shapes_are_checked_by_both_constructions():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -185,7 +184,7 @@ def test_to_cnf_one_rule_per_distinct_body():
 
 
 def _kids(e):
-    values = (getattr(e, f.name) for f in dataclasses.fields(e))
+    values = (getattr(e, f) for f in e.__match_args__)
     return [v for v in values if isinstance(v, Expression)]
 
 
