@@ -15,9 +15,8 @@ this module compiles no generated code (see :class:`Expression`).
 :meth:`Grammar.build` walks each rule body once, without copying it, and
 gathers the alphabet, the referenced names, ``node_count`` (node
 occurrences, a shared subtree counted at each) and ``is_core``, so a
-built grammar is never walked again to check or measure it.  The node
-types that are built have no subclasses, so the walkers here dispatch on
-``type(e)``.
+built grammar is never walked again to check or measure it.  Node types
+have no subclasses, so the walkers here dispatch on ``type(e)``.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ class Expression:
     """Base class for expression nodes: frozen, slotted, structural values.
 
     A node class names its fields in ``__slots__`` and ``__match_args__``
-    and sets them in its ``__init__`` through ``object.__setattr__``.  Equality,
-    hash, the ``Sequence(left=..., right=...)`` repr and the guards raising
-    ``FrozenInstanceError`` on every write come from here, keyed on that field
-    tuple.  As dataclasses, the node classes generated and compiled these
-    methods at every import, a large part of each command's start-up.
+    and sets them in its ``__init__`` through ``object.__setattr__``.  The
+    rest comes from here, keyed on that field tuple: equality, hash, repr,
+    copying and pickling, and guards raising ``FrozenInstanceError`` on every
+    write.  Node classes are not dataclasses, which generate and compile
+    these methods at each import, a large part of a command's start-up.
     """
 
     __slots__ = ()
@@ -66,6 +65,9 @@ class Expression:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -3,8 +3,10 @@ constructed directly."""
 
 from __future__ import annotations
 
+import copy as copy_module
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 import random
 
@@ -122,6 +124,8 @@ def test_nodes_are_frozen_structural_values(node):
     fields = node.__match_args__
     copy = type(node)(*(getattr(node, f) for f in fields))
     assert copy == node and hash(copy) == hash(node) and copy is not node
+    tree = Sequence(node, node)
+    assert copy_module.deepcopy(tree) == tree == pickle.loads(pickle.dumps(tree))
     for f in fields:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, f, _X)
