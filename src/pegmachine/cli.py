@@ -29,7 +29,7 @@ from .closures import (
     reg_closure_machine,
 )
 from .cooksim import run_linear, work_bound
-from .errors import ToolkitError
+from .errors import MachineTextError, ToolkitError
 from .fuzz import ALPHABET as FUZZ_ALPHABET
 from .fuzz import FuzzConfig, run_fuzz
 from .peg.ast import DIVERGED, Consumed, Grammar, render_grammar_text
@@ -39,7 +39,7 @@ from .peg.transform import desugar, to_cnf
 from .peg.wellformed import check_well_formed
 from .pppda.machine import Machine, run_direct
 from .pppda.normalize import desugar_hat_moves, normalize
-from .pppda.text import parse_machine_text, render_machine_text
+from .pppda.text import KEYED, REQUIRED, parse_machine_text, read_header, render_machine_text
 from .translate import dppda_to_peg, grammar_to_machine
 
 EXIT_ACCEPT = 0
@@ -61,42 +61,38 @@ def _read(path: str) -> str:
         raise _Invalid(f"cannot read {path}: {exc}") from exc
 
 
-def _load_any(path: str):
-    """Grammar, machine, DPDA, DFA or composition spec, by content sniffing."""
+def _load_any(path: str, parse=None):
+    """Grammar, machine, DPDA, DFA or spec: read by ``parse``, else by content sniffing."""
     text = _read(path)
-    head = [ln for ln in map(str.strip, text.splitlines()) if ln.startswith("@")]
-    kinds = [ln.split()[1] for ln in head if ln.startswith("@kind ")]
+    if parse is None:
+        heads = [ln.split() for ln in text.splitlines() if ln.lstrip()[:1] == "@"]
+        kind = next((parts[1:] for parts in heads if parts[0] == "@kind"), None)
+        keys = {parts[0] for parts in heads}
+        if kind == ["dpda"]:
+            parse = parse_dpda_text
+        elif kind == ["dfa"]:
+            parse = parse_dfa_text
+        elif keys & {"@dfa", "@bind"}:
+            parse = partial(_load_spec, Path(path).parent)
+        elif keys & {"@states", "@initial"}:
+            parse = parse_machine_text
+        else:
+            parse = parse_grammar_text
     try:
-        if kinds == ["dpda"]:
-            return parse_dpda_text(text)
-        if kinds == ["dfa"]:
-            return parse_dfa_text(text)
-        if any(ln.startswith("@dfa") or ln.startswith("@bind") for ln in head):
-            return _load_spec(path, text)
-        if any(ln.startswith("@states") or ln.startswith("@initial") for ln in head):
-            return parse_machine_text(text)
-        return parse_grammar_text(text)
+        return parse(text)
     except ToolkitError as exc:
         raise _Invalid(f"{path}: {exc}") from exc
 
 
-def _load_spec(path: str, text: str) -> CompositionSpec:
-    base = Path(path).parent
-    dfa = None
-    bindings = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "@dfa" and len(parts) == 2:
-            dfa = parse_dfa_text(_read(str(base / parts[1])))
-        elif parts[0] == "@bind" and len(parts) == 3:
-            bindings[parts[1]] = parse_dpda_text(_read(str(base / parts[2])))
-        else:
-            raise _Invalid(f"{path}:{lineno}: bad spec line {line!r}")
-    if dfa is None:
-        raise _Invalid(f"{path}: spec needs a @dfa line")
+def _load_spec(base: Path, text: str) -> CompositionSpec:
+    """A composition spec, naming files relative to ``base``; ``#`` lines are comments."""
+    head, body = read_header(text, {"@dfa": REQUIRED, "@bind": KEYED})
+    for lineno, toks in body:
+        if toks[0][0] != "#":
+            raise MachineTextError(f"bad spec line {' '.join(toks)!r}", lineno)
+    dfa = _load_any(str(base / head["@dfa"]), parse_dfa_text)
+    bindings = {label: _load_any(str(base / file), parse_dpda_text)
+                for label, file in head["@bind"].items()}
     return CompositionSpec(dfa, bindings)
 
 

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 
 from ..errors import MachineInvariantError, MachineTextError
 from ..pppda.machine import Names
+from ..pppda.text import LIST, REQUIRED, read_header, render_header
 
 
 @dataclass(frozen=True)
@@ -107,43 +108,22 @@ def absorb_epsilon_labels(dfa: LabeledDfa, eps_labels: Iterable[str]) -> Labeled
     )
 
 
+DFA_HEADER = {"@kind": ("dfa",), "@states": LIST, "@labels": LIST, "@initial": REQUIRED,
+              "@final": LIST}
+
+
 def parse_dfa_text(text: str) -> LabeledDfa:
-    """Parse ``@kind dfa`` files: transitions are ``state label -> state``."""
-    declared: list[str] = []
-    declared_labels: list[str] = []
-    finals: list[str] = []
-    initial: str | None = None
-    body: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("@"):
-            parts = line.split()
-            key = parts[0]
-            if key == "@kind":
-                if parts[1:] != ["dfa"]:
-                    raise MachineTextError("expected '@kind dfa'", lineno)
-            elif key == "@states":
-                declared.extend(parts[1:])
-            elif key == "@labels":
-                declared_labels.extend(parts[1:])
-            elif key == "@final":
-                finals.extend(parts[1:])
-            elif key == "@initial" and len(parts) == 2:
-                initial = parts[1]
-            else:
-                raise MachineTextError(f"bad directive {line!r}", lineno)
-            continue
-        toks = line.split()
+    """Parse ``@kind dfa`` files: transitions are ``state label -> state``.
+
+    The header follows the rules shared by every automaton format (see
+    :mod:`pegmachine.pppda.text`).
+    """
+    head, body = read_header(text, DFA_HEADER)
+    for lineno, toks in body:
         if len(toks) != 4 or toks[2] != "->":
             raise MachineTextError("transition must be: state label -> state", lineno)
-        body.append((lineno, toks))
-    if initial is None:
-        raise MachineTextError("missing @initial header", 0)
-
-    states = Names("state name", declared)
-    labels = Names("label", declared_labels)
+    states = Names("state name", head["@states"])
+    labels = Names("label", head["@labels"])
     delta: dict[tuple[str, str], str] = {}
     for lineno, (q, a, _, q2) in body:
         if (q, a) in delta:
@@ -152,17 +132,14 @@ def parse_dfa_text(text: str) -> LabeledDfa:
         states.note(q)
         states.note(q2)
         labels.note(a)
-    return LabeledDfa(tuple(states), tuple(labels), delta, initial, tuple(finals))
+    return LabeledDfa(tuple(states), tuple(labels), delta, head["@initial"], tuple(head["@final"]))
 
 
 def render_dfa_text(dfa: LabeledDfa) -> str:
-    lines = [
-        "@kind dfa",
-        "@states " + " ".join(dfa.states),
-        "@labels " + " ".join(dfa.labels),
-        "@initial " + dfa.initial,
-        "@final " + " ".join(dfa.finals),
-    ]
+    lines = render_header(DFA_HEADER, {
+        "@states": dfa.states, "@labels": dfa.labels, "@initial": dfa.initial,
+        "@final": dfa.finals,
+    })
     spos = {q: i for i, q in enumerate(dfa.states)}
     lpos = {a: i for i, a in enumerate(dfa.labels)}
     for (q, a), q2 in sorted(dfa.delta.items(), key=lambda kv: (spos[kv[0][0]], lpos[kv[0][1]])):

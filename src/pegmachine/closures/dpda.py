@@ -19,7 +19,9 @@ from typing import Mapping
 
 from ..errors import MachineInvariantError, MachineTextError
 from ..pppda.machine import Names
-from ..pppda.text import _parse_alphabet, _render_push, _split_push
+from ..pppda.text import (
+    LIST, REQUIRED, quoted_letter, read_header, render_header, render_push, split_push,
+)
 
 EPSILON = ""
 
@@ -100,47 +102,22 @@ def dpda_run(d: Dpda, word: str, step_limit: int | None = None) -> str:
 # --- file format ---------------------------------------------------------------
 
 
+DPDA_HEADER = {"@kind": ("dpda",), "@states": LIST, "@initial": REQUIRED, "@final": LIST,
+               "@bottom": REQUIRED, "@alphabet": LIST}
+
+
 def parse_dpda_text(text: str) -> Dpda:
     """Parse ``@kind dpda`` files: transitions ``state letter sym -> state push``.
 
-    The letter is a quoted character or ``eps``; the push string replaces
-    the inspected symbol, ``-`` for nothing, comma separation for
-    multi-character symbol names.
+    The header follows the rules shared by every automaton format (see
+    :mod:`pegmachine.pppda.text`).  The letter is a quoted character or
+    ``eps``; the push string replaces the inspected symbol, ``-`` for
+    nothing, comma separation for multi-character symbol names.
     """
-    finals: list[str] = []
-    initial: str | None = None
-    bottom: str | None = None
-    alphabet: dict[str, None] = {}
-    declared: list[str] = []
-    body: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("@"):
-            parts = line.split()
-            key = parts[0]
-            if key == "@kind":
-                if parts[1:] != ["dpda"]:
-                    raise MachineTextError("expected '@kind dpda'", lineno)
-            elif key == "@states":
-                declared.extend(parts[1:])
-            elif key == "@final":
-                finals.extend(parts[1:])
-            elif key == "@initial" and len(parts) == 2:
-                initial = parts[1]
-            elif key == "@bottom" and len(parts) == 2:
-                bottom = parts[1]
-            elif key == "@alphabet" and len(parts) == 2:
-                alphabet.update(dict.fromkeys(_parse_alphabet(parts[1], lineno)))
-            else:
-                raise MachineTextError(f"bad directive {line!r}", lineno)
-            continue
-        body.append((lineno, line.split()))
-    if initial is None or bottom is None:
-        raise MachineTextError("missing @initial or @bottom header", 0)
-
-    states = Names("state name", declared)
+    head, body = read_header(text, DPDA_HEADER)
+    initial, bottom, finals = head["@initial"], head["@bottom"], head["@final"]
+    alphabet = dict.fromkeys(head["@alphabet"])
+    states = Names("state name", head["@states"])
     gamma = Names("stack symbol", [bottom])
     for lineno, toks in body:
         if len(toks) != 6 or toks[3] != "->":
@@ -157,12 +134,10 @@ def parse_dpda_text(text: str) -> Dpda:
         q, letter_tok, z, _, q2, push_tok = toks
         if letter_tok == "eps":
             a = EPSILON
-        elif len(letter_tok) == 3 and letter_tok[0] == '"' and letter_tok[2] == '"':
-            a = letter_tok[1]
-            alphabet.setdefault(a)
         else:
-            raise MachineTextError(f"bad letter token {letter_tok!r}", lineno)
-        push = _split_push(push_tok, gamma, lineno)
+            a = quoted_letter(letter_tok, lineno)
+            alphabet.setdefault(a)
+        push = split_push(push_tok, gamma, lineno)
         for sym in push:
             gamma.note(sym)
         key = (q, a, z)
@@ -183,14 +158,10 @@ def parse_dpda_text(text: str) -> Dpda:
 
 
 def render_dpda_text(d: Dpda) -> str:
-    lines = [
-        "@kind dpda",
-        "@states " + " ".join(d.states),
-        "@initial " + d.initial_state,
-        "@final " + " ".join(d.finals),
-        "@bottom " + d.bottom,
-        '@alphabet "' + "".join(d.input_alphabet) + '"',
-    ]
+    lines = render_header(DPDA_HEADER, {
+        "@states": d.states, "@initial": d.initial_state, "@final": d.finals,
+        "@bottom": d.bottom, "@alphabet": d.input_alphabet,
+    })
     spos = {q: i for i, q in enumerate(d.states)}
     lpos = {a: i for i, a in enumerate(d.input_alphabet)}
     zpos = {z: i for i, z in enumerate(d.stack_alphabet)}
@@ -200,6 +171,6 @@ def render_dpda_text(d: Dpda) -> str:
         key=lambda kv: (spos[kv[0][0]], -1 if kv[0][1] == EPSILON else lpos[kv[0][1]], zpos[kv[0][2]]),
     ):
         letter = "eps" if a == EPSILON else f'"{a}"'
-        push_tok = _render_push(push, declared)
+        push_tok = render_push(push, declared)
         lines.append(f"{q} {letter} {z} -> {q2} {push_tok}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,20 @@
-"""Machine file format.
+"""Automaton file formats: the header they share, and the machine format.
 
-Header lines declare the parts, then one transition per line::
+Machine, DPDA and DFA files and composition specs share one header
+syntax, read by :func:`read_header` and written by :func:`render_header`:
+a line whose first token starts with ``@`` is a directive, any other
+non-blank line a body row.  A format's table gives each directive it
+admits a shape: one argument, at most once (``@initial``), perhaps from
+fixed values (``@twoway yes|no``, ``@kind``); a list that later lines
+extend (``@states``, and ``@alphabet``, whose one argument is a quoted
+string of letters); or a key and a value, each key at most once
+(``@meta``).  ``<``, ``>`` and ``"`` are reserved, as ``@alphabet``
+letters and as quoted letters in rows.  Any other directive is a ``bad
+directive``, and a missing required one is named in ``missing @initial
+header``.  The README's "File formats" section lists every directive.
+
+A machine file's header declares its parts, then each line is one
+transition::
 
     @twoway no
     @states q0 q1 qf
@@ -8,7 +22,7 @@ Header lines declare the parts, then one transition per line::
     @final qf
     @bottom Z0
     @alphabet "abc"
-    q0 "<" Z0 -> q0 Y right
+    q0 < Z0 -> q0 Y right
 
 The letter slot is a quoted character, or bare ``<`` / ``>`` for the end
 markers.  The push string is ``-`` when empty; multiple symbols are
@@ -22,7 +36,7 @@ lines carry tool annotations and round-trip unchanged.
 
 from __future__ import annotations
 
-from typing import Container
+from typing import Any, Container, Mapping
 
 from ..errors import MachineTextError
 from .machine import (
@@ -36,30 +50,96 @@ from .machine import (
 )
 
 _DIRS = set(CORE_DIRECTIONS) | set(HAT_DIRECTIONS)
+_RESERVED = (LEFT_MARK, RIGHT_MARK, '"')
+
+# Directive shapes besides a tuple, which is one argument from those values.
+REQUIRED = "required"  # one argument, once, in every file
+LIST = "list"  # arguments that later lines extend
+KEYED = "keyed"  # a key and a value, each key at most once
 
 
-def _parse_letter(tok: str, lineno: int) -> str:
-    if tok == "<":
-        return LEFT_MARK
-    if tok == ">":
-        return RIGHT_MARK
-    if len(tok) == 3 and tok[0] == '"' and tok[2] == '"':
-        return tok[1]
-    raise MachineTextError(f"bad letter token {tok!r}", lineno)
+def _letter(ch: str, lineno: int) -> str:
+    if ch in _RESERVED:
+        raise MachineTextError(f"reserved letter {ch!r}", lineno)
+    return ch
 
 
-def _parse_alphabet(tok: str, lineno: int) -> str:
-    """The letters of an ``@alphabet`` argument, which must be quoted."""
-    if not (len(tok) >= 2 and tok[0] == '"' and tok[-1] == '"'):
-        raise MachineTextError("@alphabet needs a quoted string", lineno)
-    return tok[1:-1]
+def quoted_letter(tok: str, lineno: int) -> str:
+    """The letter of a row's quoted letter token ``"a"``."""
+    if len(tok) != 3 or tok[0] != '"' or tok[2] != '"':
+        raise MachineTextError(f"bad letter token {tok!r}", lineno)
+    return _letter(tok[1], lineno)
 
 
-def _render_letter(a: str) -> str:
-    return a if a in (LEFT_MARK, RIGHT_MARK) else f'"{a}"'
+def read_header(
+    text: str, table: Mapping[str, Any]
+) -> tuple[dict[str, Any], list[tuple[int, list[str]]]]:
+    """The header arguments of ``text`` by ``table``, and its body rows.
+
+    Each directive of ``table`` maps to its argument (None when absent),
+    its list (``@alphabet``'s holds letters) or its dict of keys.  A body
+    row is its line number and its whitespace-separated tokens.
+    """
+    head = {key: [] if shape == LIST else {} if shape == KEYED else None
+            for key, shape in table.items()}
+    body: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        key = parts[0]
+        if key[0] != "@":
+            body.append((lineno, parts))
+            continue
+        shape, args = table.get(key), parts[1:]
+        if shape == LIST and key == "@alphabet" and len(args) == 1:
+            tok = args[0]
+            if len(tok) < 2 or tok[0] != '"' or tok[-1] != '"':
+                raise MachineTextError("@alphabet needs a quoted string", lineno)
+            head[key] += [_letter(ch, lineno) for ch in tok[1:-1]]
+        elif shape == LIST and key != "@alphabet":
+            head[key] += args
+        elif shape == KEYED and len(args) >= 2:
+            if args[0] in head[key]:
+                raise MachineTextError(f"repeated {key} {args[0]}", lineno)
+            head[key][args[0]] = " ".join(args[1:])
+        elif shape not in (None, LIST, KEYED) and len(args) == 1:
+            if head[key] is not None:
+                raise MachineTextError(f"repeated {key} header", lineno)
+            if shape != REQUIRED and args[0] not in shape:
+                raise MachineTextError(f"expected {key} " + " or ".join(shape), lineno)
+            head[key] = args[0]
+        else:
+            raise MachineTextError(f"bad directive {raw.strip()!r}", lineno)
+    missing = [key for key, shape in table.items() if shape == REQUIRED and head[key] is None]
+    if missing:
+        raise MachineTextError(f"missing {missing[0]} header", 0)
+    return head, body
 
 
-def _split_push(tok: str, gamma: Container[str], lineno: int) -> tuple[str, ...]:
+def render_header(table: Mapping[str, Any], values: Mapping[str, Any]) -> list[str]:
+    """The header lines that :func:`read_header` reads back as ``values``.
+
+    ``@kind`` comes first, from the table; the other directives follow in
+    table order, each keyed one as (key, value) pairs.
+    """
+    lines = []
+    for key in sorted(table, key="@kind".__ne__):
+        shape = table[key]
+        value = shape[0] if key == "@kind" else values[key]
+        if shape == KEYED:
+            lines += [f"{key} {k} {v}" for k, v in value]
+        elif key == "@alphabet":
+            lines.append(f'{key} "{"".join(value)}"')
+        elif shape == LIST:
+            lines.append(f"{key} " + " ".join(value))
+        else:
+            lines.append(f"{key} {value}")
+    return lines
+
+
+def split_push(tok: str, gamma: Container[str], lineno: int) -> tuple[str, ...]:
+    """The symbols of push token ``tok``, given the declared symbols ``gamma``."""
     if tok == "-":
         return ()
     if "," in tok:
@@ -74,7 +154,8 @@ def _split_push(tok: str, gamma: Container[str], lineno: int) -> tuple[str, ...]
     return (tok,)  # a push may introduce a new symbol
 
 
-def _render_push(push: tuple[str, ...], declared: Container[str]) -> str:
+def render_push(push: tuple[str, ...], declared: Container[str]) -> str:
+    """The token that :func:`split_push` reads back as ``push``."""
     if not push:
         return "-"
     if len(push) > 1:
@@ -87,48 +168,18 @@ def _render_push(push: tuple[str, ...], declared: Container[str]) -> str:
     return sym
 
 
+MACHINE_HEADER = {"@twoway": ("yes", "no"), "@states": LIST, "@initial": REQUIRED, "@final": LIST,
+                  "@bottom": REQUIRED, "@alphabet": LIST, "@meta": KEYED}
+
+
 def parse_machine_text(text: str) -> Machine:
     """Parse and validate a machine description."""
-    states: list[str] = []
-    finals: list[str] = []
-    initial: str | None = None
-    bottom: str | None = None
-    alphabet: dict[str, None] = {}
-    two_way = False
-    meta: list[tuple[str, str]] = []
-    body: list[tuple[int, list[str]]] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        key = parts[0]
-        if key[0] != "@":
-            body.append((lineno, parts))
-            continue
-        if key == "@states":
-            states.extend(parts[1:])
-        elif key == "@final":
-            finals.extend(parts[1:])
-        elif key == "@initial" and len(parts) == 2:
-            initial = parts[1]
-        elif key == "@bottom" and len(parts) == 2:
-            bottom = parts[1]
-        elif key == "@alphabet" and len(parts) == 2:
-            alphabet.update(dict.fromkeys(_parse_alphabet(parts[1], lineno)))
-        elif key == "@twoway" and len(parts) == 2 and parts[1] in ("yes", "no"):
-            two_way = parts[1] == "yes"
-        elif key == "@meta" and len(parts) >= 3:
-            meta.append((parts[1], " ".join(parts[2:])))
-        elif key == "@kind":
-            pass  # consumed by multi-format loaders
-        else:
-            raise MachineTextError(f"bad directive {raw.strip()!r}", lineno)
-
-    if initial is None or bottom is None:
-        raise MachineTextError("missing @initial or @bottom header", 0)
-    mb = MachineBuilder(initial, bottom, finals=finals, two_way=two_way, meta=tuple(meta),
-                        states=states, stack_alphabet=[bottom])
+    head, body = read_header(text, MACHINE_HEADER)
+    initial, bottom, finals = head["@initial"], head["@bottom"], head["@final"]
+    alphabet = dict.fromkeys(head["@alphabet"])
+    mb = MachineBuilder(initial, bottom, finals=finals, two_way=head["@twoway"] == "yes",
+                        meta=tuple(head["@meta"].items()), states=head["@states"],
+                        stack_alphabet=[bottom])
     gamma, delta = mb.stack_alphabet, mb.delta
     note_state, note_symbol = mb.states.note, gamma.note
 
@@ -153,14 +204,13 @@ def parse_machine_text(text: str) -> Machine:
     for lineno, (q, letter_tok, z, _, q2, push_tok, direction) in body:
         a = letters.get(letter_tok)
         if a is None:
-            a = letters[letter_tok] = _parse_letter(letter_tok, lineno)
-            if a != LEFT_MARK and a != RIGHT_MARK:  # a quoted marker reads as the marker
-                alphabet.setdefault(a)
+            a = letters[letter_tok] = quoted_letter(letter_tok, lineno)
+            alphabet.setdefault(a)
         move = moves.get((q2, push_tok, direction))
         if move is None:
             if direction not in _DIRS:
                 raise MachineTextError(f"bad direction {direction!r}", lineno)
-            push = _split_push(push_tok, declared, lineno)
+            push = split_push(push_tok, declared, lineno)
             for sym in push:
                 note_symbol(sym)
             move = moves[q2, push_tok, direction] = Move(q2, push, direction)
@@ -177,25 +227,20 @@ def parse_machine_text(text: str) -> Machine:
 
 def render_machine_text(m: Machine) -> str:
     """Deterministic text form, reloadable by :func:`parse_machine_text`."""
-    lines = [
-        "@twoway " + ("yes" if m.two_way else "no"),
-        "@states " + " ".join(m.states),
-        "@initial " + m.initial_state,
-        "@final " + " ".join(m.finals),
-        "@bottom " + m.bottom,
-        '@alphabet "' + "".join(m.input_alphabet) + '"',
-    ]
-    for k, v in m.meta:
-        lines.append(f"@meta {k} {v}")
+    lines = render_header(MACHINE_HEADER, {
+        "@twoway": "yes" if m.two_way else "no", "@states": m.states,
+        "@initial": m.initial_state, "@final": m.finals, "@bottom": m.bottom,
+        "@alphabet": m.input_alphabet, "@meta": m.meta,
+    })
     state_pos = {q: i for i, q in enumerate(m.states)}
     letter_pos = {a: i for i, a in enumerate(m.letters)}
     sym_pos = {z: i for i, z in enumerate(m.stack_alphabet)}
     declared = {m.bottom} | {z for (_, _, z) in m.delta}
-    letter_toks = {a: _render_letter(a) for a in m.letters}
+    letter_toks = {a: a if a in (LEFT_MARK, RIGHT_MARK) else f'"{a}"' for a in m.letters}
     delta = m.delta
     for key in sorted(delta, key=lambda k: (state_pos[k[0]], letter_pos[k[1]], sym_pos[k[2]])):
         q, a, z = key
         target, push, direction = delta[key]
-        push_tok = _render_push(push, declared)
+        push_tok = render_push(push, declared)
         lines.append(f"{q} {letter_toks[a]} {z} -> {target} {push_tok} {direction}")
     return "\n".join(lines) + "\n"
