@@ -38,7 +38,7 @@ from .peg.parser import parse_grammar_text
 from .peg.transform import desugar, to_cnf
 from .peg.wellformed import check_well_formed
 from .pppda.machine import Machine, run_direct
-from .pppda.normalize import desugar_hat_moves, normalize
+from .pppda.normalize import normalize
 from .pppda.text import KEYED, REQUIRED, parse_machine_text, read_header, render_machine_text
 from .translate import dppda_to_peg, grammar_to_machine
 
@@ -185,7 +185,7 @@ def cmd_run(args) -> int:
             raise _Invalid(
                 "the packrat/naive engines need a grammar; extract one explicitly first"
             )
-        machine = desugar_hat_moves(obj)
+        machine = obj
     _check_word(word, machine.input_alphabet)
 
     if engine == "cook":
@@ -274,7 +274,6 @@ def cmd_bench(args) -> int:
     if not args.family:
         raise _Invalid("--family needs at least one letter")
     _check_word(args.family, m.input_alphabet, "--family")
-    m = desugar_hat_moves(m)
     blocks = list(args.family)
     rows = []
     print("n\tcook.ops\tdirect.steps")

@@ -18,7 +18,6 @@ from __future__ import annotations
 from ..errors import CompositionError
 from ..pppda.machine import (
     DOWN,
-    HAT_DIRECTIONS,
     LEFT_MARK,
     Machine,
     MachineBuilder,
@@ -112,8 +111,6 @@ def left_concat_dcfl(x: Dpda, y: Machine) -> Machine:
     for (q, a, z), mv in y.delta.items():
         if z == y.bottom:
             continue
-        if mv.direction in HAT_DIRECTIONS:
-            mv = mb.hat(mv.state, mv.direction)
         emit(q, a, z, mv)
 
     # Start: enter the DPDA with its own bottom above ours, head on cell 1.

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import MachineInvariantError, MachineTextError
+from ..peg.ast import is_letter
 from ..pppda.machine import Names
 from ..pppda.text import (
     LIST, REQUIRED, quoted_letter, read_header, render_header, render_push, split_push,
@@ -53,6 +54,9 @@ class Dpda:
             raise MachineInvariantError("unknown state in DPDA description")
         if self.bottom not in gamma:
             raise MachineInvariantError("unknown bottom symbol")
+        for ch in self.input_alphabet:
+            if not is_letter(ch):
+                raise MachineInvariantError(f"bad input letter {ch!r}")
         for (q, a, z), (q2, push) in self.delta.items():
             if q not in states or q2 not in states:
                 raise MachineInvariantError(f"unknown state in move at {(q, a, z)!r}")

@@ -112,7 +112,7 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
         states=[_INIT, _DISPATCH, _ACCEPT_EPS, _DRAIN, _ROLLBACK, _ROLL_UP],
         stack_alphabet=gamma,
     )
-    emit, hat = mb.emit, mb.hat
+    emit = mb.emit
     states = mb.states
 
     def start_block(q_dfa: str, label: str) -> tuple[str, tuple[str, str]]:
@@ -122,7 +122,7 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
         return sim, (_dsym(label, d.bottom), _marker(q_dfa, label))
 
     # Initial skip of the left marker, then dispatch on cell 1.
-    emit(_INIT, LEFT_MARK, _BOTTOM, hat(_DISPATCH, HAT_RIGHT))
+    emit(_INIT, LEFT_MARK, _BOTTOM, Move(_DISPATCH, (), HAT_RIGHT))
     if dfa.initial in dfa.finals:
         emit(_DISPATCH, RIGHT_MARK, _BOTTOM, Move(_ACCEPT_EPS, (), DOWN))
     sim, push = start_block(dfa.initial, labels[0])
@@ -163,7 +163,7 @@ def reg_closure_machine(spec: CompositionSpec) -> Machine:
                         if (q, EPSILON, z) in d.delta:
                             continue
                         emit(src, a, _dsym(label, z), Move(_ROLLBACK, (), DOWN))
-                    emit(src, a, marker, hat(_ROLLBACK, HAT_DOWN))
+                    emit(src, a, marker, Move(_ROLLBACK, (), HAT_DOWN))
 
             # Suspension: the DPDA sits in an accepting state.
             q_target = dfa.delta[(q_dfa, label)]

@@ -64,8 +64,6 @@ def terminator(
     a surface that pops or halts at once takes the place of a get, its δ
     read counts instead.
     """
-    if m.has_hat_moves:
-        raise MachineInvariantError("terminator needs a hat-free machine; desugar first")
     delta = m.coded_delta
     letters = delta.code_word(word)
     per_head = delta.key_space  # surface codes per head position

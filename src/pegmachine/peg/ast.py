@@ -28,8 +28,9 @@ from typing import Iterator, Mapping, NamedTuple, Sequence as SeqT
 
 from ..errors import GrammarInvariantError, NotCnfError
 
-# Characters that may never be grammar letters: the end markers of the
-# machine model, the terminal quote of the file format, and whitespace.
+# Characters that may never be letters, of a grammar, a machine or a DPDA:
+# the end markers of the machine model, the quote of the file formats, and
+# whitespace.  :func:`is_letter` is the one rule every model and reader applies.
 RESERVED_LETTERS = frozenset('<>"')
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -197,7 +198,7 @@ def reachable_from(rules: Mapping[str, Expression], axiom: str) -> set[str]:
 
 
 def is_letter(ch: str) -> bool:
-    """May ``ch`` be a grammar letter?  One character, neither reserved nor blank."""
+    """May ``ch`` be a letter?  One character, neither reserved nor blank."""
     return len(ch) == 1 and ch not in RESERVED_LETTERS and not ch.isspace()
 
 

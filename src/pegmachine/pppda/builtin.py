@@ -14,28 +14,20 @@ def builtin_anbncn() -> Machine:
     on the first ``c`` to rewind the head; the second pass skips the ``a``
     block and checks the b/c balance.
     """
-    delta = {
-        ("q0", LEFT_MARK, "Z0"): Move("q0", ("Y",), RIGHT),
-        ("q0", "a", "Y"): Move("q0", ("X",), RIGHT),
-        ("q0", "a", "X"): Move("q0", ("X",), RIGHT),
-        ("q0", "b", "X"): Move("q0", (), RIGHT),
-        ("q0", "c", "Y"): Move("q1", (), UP),
-        ("q1", "a", "Z0"): Move("q1", (), HAT_RIGHT),
-        ("q1", "b", "Z0"): Move("q1", ("X",), RIGHT),
-        ("q1", "b", "X"): Move("q1", ("X",), RIGHT),
-        ("q1", "c", "X"): Move("q1", (), RIGHT),
-        ("q1", RIGHT_MARK, "Z0"): Move("qf", (), DOWN),
-    }
-    return Machine(
-        states=("q0", "q1", "qf"),
-        input_alphabet=("a", "b", "c"),
-        stack_alphabet=("Z0", "Y", "X"),
-        finals=("qf",),
-        initial_state="q0",
-        bottom="Z0",
-        delta=delta,
-        two_way=False,
-    )
+    mb = MachineBuilder("q0", "Z0", ("a", "b", "c"), ("qf",), states=("q0", "q1", "qf"),
+                        stack_alphabet=("Z0", "Y", "X"))
+    emit = mb.emit
+    emit("q0", LEFT_MARK, "Z0", Move("q0", ("Y",), RIGHT))
+    emit("q0", "a", "Y", Move("q0", ("X",), RIGHT))
+    emit("q0", "a", "X", Move("q0", ("X",), RIGHT))
+    emit("q0", "b", "X", Move("q0", (), RIGHT))
+    emit("q0", "c", "Y", Move("q1", (), UP))
+    emit("q1", "a", "Z0", Move("q1", (), HAT_RIGHT))
+    emit("q1", "b", "Z0", Move("q1", ("X",), RIGHT))
+    emit("q1", "b", "X", Move("q1", ("X",), RIGHT))
+    emit("q1", "c", "X", Move("q1", (), RIGHT))
+    emit("q1", RIGHT_MARK, "Z0", Move("qf", (), DOWN))
+    return mb.build()
 
 
 def builtin_loop() -> Machine:
@@ -61,22 +53,14 @@ def builtin_sweep() -> Machine:
     to the end marker again.  Each origin is read only at its symbol's pop,
     so the memoizing engine's table stays linear in the word length.
     """
-    delta = {
-        ("q0", LEFT_MARK, "Z"): Move("q0", ("X",), RIGHT),
-        ("q0", "a", "X"): Move("q0", ("X",), RIGHT),
-        ("q0", RIGHT_MARK, "X"): Move("r", (), UP),
-        ("r", "a", "X"): Move("r", (), HAT_RIGHT),
-        ("r", "a", "Z"): Move("r", (), HAT_RIGHT),
-        ("r", RIGHT_MARK, "X"): Move("r", (), UP),
-        ("r", RIGHT_MARK, "Z"): Move("f", (), DOWN),
-    }
-    return Machine(
-        states=("q0", "r", "f"),
-        input_alphabet=("a", "b"),
-        stack_alphabet=("Z", "X"),
-        finals=("f",),
-        initial_state="q0",
-        bottom="Z",
-        delta=delta,
-        two_way=False,
-    )
+    mb = MachineBuilder("q0", "Z", ("a", "b"), ("f",), states=("q0", "r", "f"),
+                        stack_alphabet=("Z", "X"))
+    emit = mb.emit
+    emit("q0", LEFT_MARK, "Z", Move("q0", ("X",), RIGHT))
+    emit("q0", "a", "X", Move("q0", ("X",), RIGHT))
+    emit("q0", RIGHT_MARK, "X", Move("r", (), UP))
+    emit("r", "a", "X", Move("r", (), HAT_RIGHT))
+    emit("r", "a", "Z", Move("r", (), HAT_RIGHT))
+    emit("r", RIGHT_MARK, "X", Move("r", (), UP))
+    emit("r", RIGHT_MARK, "Z", Move("f", (), DOWN))
+    return mb.build()

@@ -5,9 +5,10 @@ positions ``0 .. len(w)+1``.  Every stack entry is a pair of a symbol and
 the head position at the moment it was pushed (its *origin*).  A move
 either pushes one or more symbols on top of the inspected entry or pops
 it; an ``up`` pop teleports the head back to the popped entry's origin.
-Hat directions (``hatleft``/``hatdown``/``hatright``) are sugar for a
-push/pop pair that changes state and moves the head without touching the
-stack; they must be expanded before execution.
+Hat directions (``hatleft``/``hatdown``/``hatright``) are input sugar for
+a push/pop pair that changes state and moves the head without touching the
+stack: :meth:`MachineBuilder.emit` and the ``.mach`` reader expand them, and
+a :class:`Machine` holds only the four core directions.
 
 A run starts in ``(initial, bottom at origin 0, head 0)`` and accepts when
 the final pop empties the stack in a final state with the head on the
@@ -29,6 +30,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import MachineInvariantError
+from ..peg.ast import is_letter
 
 LEFT_MARK = "<"
 RIGHT_MARK = ">"
@@ -38,14 +40,9 @@ HAT_LEFT, HAT_DOWN, HAT_RIGHT = "hatleft", "hatdown", "hatright"
 CORE_DIRECTIONS = (LEFT, DOWN, UP, RIGHT)
 HAT_DIRECTIONS = (HAT_LEFT, HAT_DOWN, HAT_RIGHT)
 _HAT_CORE = {HAT_LEFT: LEFT, HAT_DOWN: DOWN, HAT_RIGHT: RIGHT}
-_DIRECTIONS = frozenset(CORE_DIRECTIONS + HAT_DIRECTIONS)
-_PUSHLESS = frozenset((UP,) + HAT_DIRECTIONS)  # directions that must not push
-_LEFTWARD = frozenset((LEFT, HAT_LEFT))
-_HATS = frozenset(HAT_DIRECTIONS)
+_DIRECTIONS = frozenset(CORE_DIRECTIONS)
 # (letter, direction) pairs that would move the head off the tape.
-_OFF_THE_ENDS = frozenset(
-    [(LEFT_MARK, LEFT), (LEFT_MARK, HAT_LEFT), (RIGHT_MARK, RIGHT), (RIGHT_MARK, HAT_RIGHT)]
-)
+_OFF_THE_ENDS = frozenset([(LEFT_MARK, LEFT), (RIGHT_MARK, RIGHT)])
 # Columns of δ's keys (state, letter, top symbol) and of its moves.
 _state_of, _letter_of, _top_of = itemgetter(0), itemgetter(1), itemgetter(2)
 _direction_of = itemgetter(2)
@@ -95,10 +92,6 @@ class Machine:
         return None
 
     @cached_property
-    def has_hat_moves(self) -> bool:
-        return not _HATS.isdisjoint(map(_direction_of, self.delta.values()))
-
-    @cached_property
     def coded_delta(self) -> CodedDelta:
         """δ on integer codes, for the engines; see :class:`CodedDelta`."""
         return CodedDelta(self)
@@ -113,8 +106,6 @@ class Machine:
         """
         if self.two_way:
             return "machine is two-way"
-        if self.has_hat_moves:
-            return "machine has hat moves"
         if sum(1 for k in self.delta if k[1] == LEFT_MARK) > 1:
             return "left end marker is consulted beyond the initial skip"
         bottom = self.bottom
@@ -230,7 +221,7 @@ def validate_machine(m: Machine) -> None:
         raise MachineInvariantError("duplicate stack symbol")
     sigma = set(m.input_alphabet)
     for ch in m.input_alphabet:
-        if len(ch) != 1 or ch in (LEFT_MARK, RIGHT_MARK, '"') or ch.isspace():
+        if not is_letter(ch):
             raise MachineInvariantError(f"bad input letter {ch!r}")
     if m.initial_state not in states:
         raise MachineInvariantError(f"unknown initial state {m.initial_state!r}")
@@ -251,9 +242,9 @@ def validate_machine(m: Machine) -> None:
         and gamma.issuperset(map(_top_of, delta))
         and gamma.issuperset(chain.from_iterable(mv.push for mv in moves))
         and _DIRECTIONS.issuperset(directions)
-        and _PUSHLESS.isdisjoint(mv.direction for mv in moves if mv.push)
+        and all(mv.direction != UP for mv in moves if mv.push)
         and reads.isdisjoint(_OFF_THE_ENDS)
-        and (m.two_way or _LEFTWARD.isdisjoint(directions))
+        and (m.two_way or LEFT not in directions)
     ):
         return
     for (q, a, z), mv in m.delta.items():
@@ -264,17 +255,15 @@ def validate_machine(m: Machine) -> None:
             raise MachineInvariantError(f"{where}: unknown letter")
         if z not in gamma or not set(mv.push) <= gamma:
             raise MachineInvariantError(f"{where}: unknown stack symbol")
-        if mv.direction not in CORE_DIRECTIONS + HAT_DIRECTIONS:
+        if mv.direction not in _DIRECTIONS:
             raise MachineInvariantError(f"{where}: bad direction {mv.direction!r}")
         if mv.direction == UP and mv.push:
             raise MachineInvariantError(f"{where}: an up move must not push")
-        if mv.direction in HAT_DIRECTIONS and mv.push:
-            raise MachineInvariantError(f"{where}: hat moves carry no push string")
-        if a == LEFT_MARK and mv.direction in (LEFT, HAT_LEFT):
+        if a == LEFT_MARK and mv.direction == LEFT:
             raise MachineInvariantError(f"{where}: cannot move left off the left end marker")
-        if a == RIGHT_MARK and mv.direction in (RIGHT, HAT_RIGHT):
+        if a == RIGHT_MARK and mv.direction == RIGHT:
             raise MachineInvariantError(f"{where}: cannot move right off the right end marker")
-        if not m.two_way and mv.direction in (LEFT, HAT_LEFT):
+        if not m.two_way and mv.direction == LEFT:
             raise MachineInvariantError(f"{where}: left moves need a two-way machine")
 
 
@@ -315,6 +304,9 @@ class MachineBuilder:
     Re-emitting a transition with the same move is a no-op; emitting a
     different move for a key already taken raises, so constructions that
     generate rules from several loops cannot silently overwrite each other.
+    A hat move is expanded as it is emitted (see :meth:`_hat`): code that
+    builds a machine writes its hat rows here, since a :class:`Machine`
+    refuses them.
     """
 
     def __init__(
@@ -349,6 +341,10 @@ class MachineBuilder:
 
     def emit(self, q: str, a: str, z: str, move: Move) -> None:
         key = (q, a, z)
+        if move[2] in _HAT_CORE:
+            if move.push:
+                raise MachineInvariantError(f"delta{key!r}: hat moves carry no push string")
+            move = self._hat(move.state, move.direction)
         prev = self.delta.setdefault(key, move)
         if prev is not move and prev != move:
             raise MachineInvariantError(f"conflicting moves for delta{key!r}: {prev} and {move}")
@@ -364,7 +360,7 @@ class MachineBuilder:
             emit(q, a, z, move)
         emit(q, RIGHT_MARK, z, move)
 
-    def hat(self, target: str, direction: str) -> Move:
+    def _hat(self, target: str, direction: str) -> Move:
         """The push that expands a hat move to ``target`` in ``direction``.
 
         The push moves the head in the hat's core direction onto a fresh
@@ -404,16 +400,15 @@ class MachineBuilder:
         moves right, or, when ``letter`` is empty (epsilon), acts on every
         letter and stays put.  It replaces ``top`` by ``push`` (top first)
         and enters ``target``.  A push that keeps ``top`` at its bottom
-        pushes only the rest or, when nothing is left, is a hat move,
-        expanded by :meth:`hat`.  Any other push pops ``top`` into the
-        state ``replace``, which pushes ``push`` on every letter over
-        whichever of ``below`` is exposed.
+        pushes only the rest or, when nothing is left, is a hat move.  Any
+        other push pops ``top`` into the state ``replace``, which pushes
+        ``push`` on every letter over whichever of ``below`` is exposed.
         """
         step, hat = (RIGHT, HAT_RIGHT) if letter else (DOWN, HAT_DOWN)
         if not push:
             move = Move(target, (), step)
         elif push[-1] == top:
-            move = Move(target, push[:-1], step) if len(push) > 1 else self.hat(target, hat)
+            move = Move(target, push[:-1], step if len(push) > 1 else hat)
         else:
             self.states.note(replace)
             for z in below:
@@ -474,10 +469,9 @@ def initial_configuration(m: Machine) -> Configuration:
 def step(m: Machine, c: Configuration, word: str) -> Configuration | Halt:
     """One move of the relation; ``Halt`` when no move applies.
 
-    The machine must be hat-free.  Pops remove the top pair (an ``up`` pop
-    sets the head to the popped origin); pushes stack the pushed symbols
-    above the retained top, every new pair carrying the new head position
-    as its origin.
+    Pops remove the top pair (an ``up`` pop sets the head to the popped
+    origin); pushes stack the pushed symbols above the retained top, every
+    new pair carrying the new head position as its origin.
     """
     if not c.stack:
         return Halt("empty-stack")
@@ -485,8 +479,6 @@ def step(m: Machine, c: Configuration, word: str) -> Configuration | Halt:
     mv = m.delta.get((c.state, a, c.stack[0][0]))
     if mv is None:
         return Halt("no-transition")
-    if mv.direction in HAT_DIRECTIONS:
-        raise MachineInvariantError("step needs a hat-free machine; desugar first")
     if not mv.push:
         top_origin = c.stack[0][1]
         if mv.direction == UP:
@@ -551,8 +543,6 @@ def run_direct(
     a push).  Nothing is kept, so a traced run takes the time and memory
     of an untraced one plus the callback's.
     """
-    if m.has_hat_moves:
-        raise MachineInvariantError("run_direct needs a hat-free machine; desugar first")
     limit = default_step_limit(m, word) if step_limit is None else step_limit
     delta = m.coded_delta
     letters = delta.code_word(word)

@@ -1,4 +1,4 @@
-"""Hat-move expansion and the machine normal form used by grammar extraction.
+"""The machine normal form used by grammar extraction.
 
 ``normalize`` rewrites a one-way machine, preserving its language, until:
 
@@ -19,13 +19,10 @@ The rewritten machine behaves identically whether started on the left end
 marker or directly on the first input cell with the bottom origin set to
 1, which is the convention the machine-to-grammar extraction relies on.
 
-After hat moves are expanded (:func:`desugar_hat_moves`, a no-op on a
-hat-free machine), ``normalize`` makes two passes over δ, each into one
-builder whose machine is validated: the first establishes properties 1-3,
-the second properties 4 and 5.  Fresh names are registered in this order:
+``normalize`` makes two passes over δ, each into one builder whose
+machine is validated: the first establishes properties 1-3, the second
+properties 4 and 5.  Fresh names are registered in this order:
 
-- ``hats:<target>:<dir>`` states and ``hat:<target>:<dir>`` symbols, one
-  per hat target and direction, in first-use order;
 - ``nr1:``/``nr2:`` states and ``nr:`` symbols, per pop moving right, in
   δ order;
 - ``np:`` chain states, per multi-symbol push, in δ order;
@@ -42,7 +39,6 @@ from __future__ import annotations
 from ..errors import NotNormalError
 from .machine import (
     DOWN,
-    HAT_DIRECTIONS,
     LEFT_MARK,
     Machine,
     MachineBuilder,
@@ -53,22 +49,8 @@ from .machine import (
 
 
 def desugar_hat_moves(m: Machine) -> Machine:
-    """Expand each hat move into a fresh push plus letter-independent pops.
-
-    The expansion is :meth:`MachineBuilder.hat`'s, shared by every hat move
-    with the same target and direction, whatever its source.
-    """
-    if not m.has_hat_moves:
-        return m
-    mb = MachineBuilder.like(m)
-    emit, hat = mb.emit, mb.hat
-    for (q, a, z), mv in m.delta.items():
-        if mv.direction in HAT_DIRECTIONS:
-            mv = hat(mv.state, mv.direction)
-        emit(q, a, z, mv)
-    out = mb.build()
-    vars(out)["has_hat_moves"] = False  # record the verdict, so no engine walks δ for it
-    return out
+    """Return ``m``, hat-free as every machine; ``benchmarks/tracing.py`` times this name."""
+    return m
 
 
 # Fresh-name prefixes used by normalize; the second pass's state names.
@@ -95,7 +77,6 @@ def normalize(m: Machine) -> Machine:
     """Rewrite a one-way machine into the five-property normal form."""
     if m.two_way:
         raise NotNormalError("normalize supports one-way machines only")
-    m = desugar_hat_moves(m)
     m = _stage_pops_pushes_bottom(m)
     m = _stage_leave_left_mark(m)
     check_normal(m)

@@ -30,8 +30,11 @@ comma-separated, and an unseparated token like ``XY`` is split into
 characters when it is not itself a declared symbol but every character
 is; the declared symbols are the bottom and every symbol in the stack
 symbol column, so a token reads the same on every line.  Directions are
-``left down up right hatleft hatdown hatright``.  ``@meta key value``
-lines carry tool annotations and round-trip unchanged.
+``left down up right``, and the hat directions ``hatleft hatdown
+hatright``, which are input sugar: once every row is read, each hat row is
+expanded as :meth:`MachineBuilder.emit` expands it, into ``hats:``/``hat:``
+names registered after every name the file uses; so no command writes one.
+``@meta key value`` lines carry tool annotations and round-trip unchanged.
 """
 
 from __future__ import annotations
@@ -39,9 +42,12 @@ from __future__ import annotations
 from typing import Any, Container, Mapping
 
 from ..errors import MachineTextError
+from ..peg.ast import is_letter
 from .machine import (
     CORE_DIRECTIONS,
     HAT_DIRECTIONS,
+    HAT_LEFT,
+    HAT_RIGHT,
     LEFT_MARK,
     Machine,
     MachineBuilder,
@@ -50,7 +56,11 @@ from .machine import (
 )
 
 _DIRS = set(CORE_DIRECTIONS) | set(HAT_DIRECTIONS)
-_RESERVED = (LEFT_MARK, RIGHT_MARK, '"')
+# (letter, hat direction) pairs that would move the head off the tape.
+_HAT_OFF_THE_ENDS = {
+    (LEFT_MARK, HAT_LEFT): "cannot move left off the left end marker",
+    (RIGHT_MARK, HAT_RIGHT): "cannot move right off the right end marker",
+}
 
 # Directive shapes besides a tuple, which is one argument from those values.
 REQUIRED = "required"  # one argument, once, in every file
@@ -59,7 +69,7 @@ KEYED = "keyed"  # a key and a value, each key at most once
 
 
 def _letter(ch: str, lineno: int) -> str:
-    if ch in _RESERVED:
+    if not is_letter(ch):
         raise MachineTextError(f"reserved letter {ch!r}", lineno)
     return ch
 
@@ -198,9 +208,11 @@ def parse_machine_text(text: str) -> Machine:
     for q in finals:
         note_state(q)
     letters = {"<": LEFT_MARK, ">": RIGHT_MARK}  # letter tokens already read
-    # One move per distinct (target, push token, direction), built on its
-    # first line and shared by every later line that writes it.
+    # One move per distinct (target, push token, direction), built and
+    # checked on its first line and shared by every later line that writes
+    # it; hat moves are expanded after the last row.
     moves: dict[tuple[str, str, str], Move] = {}
+    hats = False
     for lineno, (q, letter_tok, z, _, q2, push_tok, direction) in body:
         a = letters.get(letter_tok)
         if a is None:
@@ -211,6 +223,12 @@ def parse_machine_text(text: str) -> Machine:
             if direction not in _DIRS:
                 raise MachineTextError(f"bad direction {direction!r}", lineno)
             push = split_push(push_tok, declared, lineno)
+            if direction in HAT_DIRECTIONS:
+                if push:
+                    raise MachineTextError("hat moves carry no push string", lineno)
+                if direction == HAT_LEFT and not mb.two_way:
+                    raise MachineTextError("left moves need a two-way machine", lineno)
+                hats = True
             for sym in push:
                 note_symbol(sym)
             move = moves[q2, push_tok, direction] = Move(q2, push, direction)
@@ -222,6 +240,15 @@ def parse_machine_text(text: str) -> Machine:
         delta[key] = move
 
     mb.input_alphabet = tuple(alphabet)
+    if hats:
+        # Re-emit δ in row order, so that each hat is expanded where the
+        # first row using it stands, after every name the file gives.
+        mb.delta = {}
+        for (lineno, _), (key, move) in zip(body, delta.items()):
+            off = _HAT_OFF_THE_ENDS.get((key[1], move.direction))
+            if off:
+                raise MachineTextError(off, lineno)
+            mb.emit(*key, move)
     return mb.build()
 
 

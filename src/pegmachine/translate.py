@@ -41,7 +41,6 @@ from .peg.interpret import accepts
 from .peg.wellformed import require_well_formed
 from .pppda.machine import (
     DOWN,
-    HAT_DIRECTIONS,
     HAT_DOWN,
     HAT_RIGHT,
     LEFT_MARK,
@@ -93,12 +92,11 @@ def _frame(name: str, slot: int) -> str:
 def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
     """Compile a well-formed normal-form grammar into a one-way machine.
 
-    The output is hat-free and deterministic by construction; it accepts a
-    word exactly when the grammar does.  ``Empty`` and ``Terminal`` rules
-    move by hat moves, expanded as they are emitted by
-    :meth:`MachineBuilder.hat`.  Every rule's states and frame symbols are
-    registered before any row is emitted, so the fresh hat names follow
-    all of them, in first-use order.
+    The output is deterministic by construction; it accepts a word exactly
+    when the grammar does.  ``Empty`` and ``Terminal`` rules move by hat
+    moves, which :meth:`MachineBuilder.emit` expands.  Every rule's states
+    and frame symbols are registered before any row is emitted, so the
+    fresh hat names follow all of them, in first-use order.
     """
     if not isinstance(g, CnfGrammar):
         g = CnfGrammar(g.nonterminals, g.alphabet, g.rules, g.axiom)
@@ -185,17 +183,12 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
         else:  # pragma: no cover - shape checked above
             raise NotCnfError(f"unexpected body {body!r}")
 
-    hat = mb.hat
     for q, a, z, move in rows:
-        if move.direction in HAT_DIRECTIONS:
-            move = hat(move.state, move.direction)
         if a is None:
             mb.emit_any(q, z, move)
         else:
             emit(q, a, z, move)
-    out = mb.build()
-    vars(out)["has_hat_moves"] = False  # record the verdict, so no engine walks δ for it
-    return out
+    return mb.build()
 
 
 def grammar_to_machine(g: Grammar) -> Machine:
@@ -214,7 +207,7 @@ _AXIOM_NAME = "#S"
 def dppda_to_peg(m: Machine) -> Grammar:
     """Extract an acceptance-equivalent grammar from a normalized machine.
 
-    ``m`` must be one-way, hat-free and in the five-property normal form
+    ``m`` must be one-way and in the five-property normal form
     (run :func:`pegmachine.pppda.normalize` first).  Rule alternatives are
     emitted per input letter in alphabet order (the right end marker
     last); their relative order does not affect the language.  States that

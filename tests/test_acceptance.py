@@ -37,7 +37,6 @@ from pegmachine.pppda import (
     Configuration,
     builtin_anbncn,
     builtin_loop,
-    desugar_hat_moves,
     normalize,
     run_direct,
 )
@@ -87,7 +86,7 @@ RUN_CHECKPOINTS = [
 
 def test_criterion_1_trace_replay():
     start = time.time()
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     run, events = traced(md, "aaabbbccc")
     configs = configurations(md, "aaabbbccc")
     ok = run.outcome == "accept"
@@ -202,7 +201,7 @@ def test_criterion_4_extract_equivalence():
 
 def test_criterion_5_linearity_and_loops():
     start = time.time()
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     ops = {}
     ok = True
     for n in (50, 100, 200, 400):

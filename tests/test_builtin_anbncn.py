@@ -10,7 +10,6 @@ against an independently written simulator of the same ten rules.
 from pegmachine.pppda import (
     Configuration,
     builtin_anbncn,
-    desugar_hat_moves,
     run_direct,
 )
 
@@ -73,7 +72,7 @@ CHECKPOINTS = [
 
 
 def test_trace_replays_the_worked_run():
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     run, events = traced(md, "aaabbbccc")
     assert run.outcome == "accept"
     configs = configurations(md, "aaabbbccc")
@@ -91,25 +90,25 @@ def test_trace_replays_the_worked_run():
 
 
 def test_triple_blocks_accepted_up_to_nine():
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     for n in (1, 2, 3):
         assert run_direct(md, "a" * n + "b" * n + "c" * n).outcome == "accept"
 
 
 def test_empty_word_rejected():
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     assert run_direct(md, "").outcome == "reject"
 
 
 def test_language_matches_independent_oracle_up_to_nine():
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     for word in all_words("abc", 9):
         assert (run_direct(md, word).outcome == "accept") == independent_oracle(word), word
 
 
 def test_rules_read_literally_accept_beyond_the_family():
     # Documents the skip rule refiring between balanced blocks.
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     assert run_direct(md, "abca").outcome == "accept"
     assert run_direct(md, "aabbcc" + "a").outcome == "accept"
     assert run_direct(md, "aabcc").outcome == "reject"

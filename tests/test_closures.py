@@ -70,6 +70,16 @@ def test_dpda_repeated_names_rejected(field, value):
         Dpda(**{**parts, field: value})
 
 
+@pytest.mark.parametrize("letter", ["<", ">", '"', " ", "ab", ""])
+def test_dpda_refuses_a_bad_input_letter(letter):
+    with pytest.raises(MachineInvariantError) as err:
+        Dpda(
+            states=("q",), input_alphabet=("a", letter), stack_alphabet=("B",),
+            finals=(), initial_state="q", bottom="B", delta={},
+        )
+    assert str(err.value) == f"bad input letter {letter!r}"
+
+
 @pytest.mark.parametrize(
     "field, value", [("states", ("s", "s")), ("finals", ("s", "s")), ("labels", ("l", "l"))]
 )

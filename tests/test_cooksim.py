@@ -21,17 +21,12 @@ from pegmachine.pppda import (
     builtin_anbncn,
     builtin_loop,
     builtin_sweep,
-    desugar_hat_moves,
     run_direct,
 )
 from pegmachine.translate import grammar_to_machine
 from pegmachine.peg import parse_grammar_text
 
 from conftest import all_words
-
-
-def _md():
-    return desugar_hat_moves(builtin_anbncn())
 
 
 def _decode_terminator(m, value):
@@ -41,7 +36,7 @@ def _decode_terminator(m, value):
 
 
 def test_pop_surface_is_its_own_terminator():
-    md = _md()
+    md = builtin_anbncn()
     # (q0, b, X) pops: the surface terminates itself.
     key = md.coded_delta.surface("q0", "X", 4)
     value, _, _ = terminator(md, "aaabbbccc", key, {})
@@ -65,7 +60,7 @@ def test_two_rule_machine_loops():
 
 
 def test_initial_terminator_gives_acceptance():
-    md = _md()
+    md = builtin_anbncn()
     key = md.coded_delta.surface(md.initial_state, md.bottom, 0)
     value, _, _ = terminator(md, "abc", key, {})
     state, head = _decode_terminator(md, value)
@@ -75,21 +70,16 @@ def test_initial_terminator_gives_acceptance():
     assert run_linear(md, "abc").outcome == "accept"
 
 
-def test_rejects_hat_machines():
-    with pytest.raises(MachineInvariantError):
-        run_linear(builtin_anbncn(), "abc")
-
-
 @pytest.mark.parametrize("word", ["aaabbbccc", "aabbbccc", "", "abc", "abca", "cab"])
 def test_agrees_with_direct_engine(word):
-    md = _md()
+    md = builtin_anbncn()
     assert (run_linear(md, word).outcome == "accept") == (
         run_direct(md, word).outcome == "accept"
     )
 
 
 def test_agreement_on_enumeration():
-    md = _md()
+    md = builtin_anbncn()
     for word in all_words("abc", 8):
         direct = run_direct(md, word)
         assert direct.outcome in ("accept", "reject")
@@ -139,14 +129,14 @@ class _ForgetfulTable(dict):
 
 
 def test_memo_write_once():
-    md = _md()
+    md = builtin_anbncn()
     key = md.coded_delta.surface(md.initial_state, md.bottom, 0)
     with pytest.raises(MachineInvariantError, match="write-once"):
         terminator(md, "abc", key, _ForgetfulTable())
 
 
 def test_work_counter_linear_growth():
-    md = _md()
+    md = builtin_anbncn()
     ops = {}
     for n in (50, 100, 200, 400):
         word = "a" * n + "b" * n + "c" * n
@@ -159,7 +149,7 @@ def test_work_counter_linear_growth():
 
 
 def test_work_bound_on_empty_word():
-    md = _md()
+    md = builtin_anbncn()
     report = work_bound_check(md, "")
     assert report.ok
     assert report.bound == 2 * len(md.states) * len(md.stack_alphabet) * 2 * WORK_BOUND_FACTOR
@@ -184,7 +174,7 @@ def test_compiled_fig2_linear_growth_on_a_blocks(fig2):
 
 
 def test_sweep_table_stays_within_key_space():
-    m = desugar_hat_moves(builtin_sweep())
+    m = builtin_sweep()
     n = 800
     run = run_linear(m, "a" * n)
     assert run.outcome == "accept"
@@ -196,7 +186,7 @@ def test_sweep_table_stays_within_key_space():
 
 @pytest.mark.parametrize("n", [100, 400, 800])
 def test_sweep_work_bound(n):
-    m = desugar_hat_moves(builtin_sweep())
+    m = builtin_sweep()
     report = work_bound_check(m, "a" * n)
     assert report.ok, report
 
@@ -209,7 +199,7 @@ def test_terminator_matches_instrumented_replay():
     """
     from pegmachine.pppda.machine import Configuration, Halt, step
 
-    md = _md()
+    md = builtin_anbncn()
     coded = md.coded_delta
     for word in all_words("abc", 6):
         table = {}

@@ -4,6 +4,7 @@ from pegmachine.errors import MachineInvariantError, MachineTextError
 from pegmachine.pppda import (
     Configuration,
     DOWN,
+    HAT_DIRECTIONS,
     HAT_LEFT,
     HAT_RIGHT,
     Halt,
@@ -16,7 +17,6 @@ from pegmachine.pppda import (
     RIGHT_MARK,
     UP,
     builtin_anbncn,
-    desugar_hat_moves,
     initial_configuration,
     letter_at,
     parse_machine_text,
@@ -51,7 +51,7 @@ q1 > Z0 -> qf - down
 def test_parse_machine_source_matches_builtin():
     m = parse_machine_text(ANBNCN_SOURCE)
     b = builtin_anbncn()
-    assert m.states == b.states == ("q0", "q1", "qf")
+    assert m.states == b.states == ("q0", "q1", "qf", "hats:q1:hatright")
     assert m.delta == b.delta
     assert m.bottom == "Z0"
 
@@ -139,12 +139,9 @@ def _machine(delta=None, **parts) -> Machine:
             dict(delta={("p", "a", "Z"): Move("p", ("X",), UP)}),
             "delta('p', 'a', 'Z'): an up move must not push",
         ),
+        (dict(input_alphabet=("a", "ab")), "bad input letter 'ab'"),
         (
-            dict(delta={("p", "a", "Z"): Move("p", ("X",), HAT_RIGHT)}),
-            "delta('p', 'a', 'Z'): hat moves carry no push string",
-        ),
-        (
-            dict(delta={("p", LEFT_MARK, "X"): Move("p", (), HAT_LEFT)}, two_way=True),
+            dict(delta={("p", LEFT_MARK, "X"): Move("p", (), LEFT)}, two_way=True),
             "delta('p', '<', 'X'): cannot move left off the left end marker",
         ),
         (
@@ -162,6 +159,31 @@ def test_every_validation_message(parts, message):
     with pytest.raises(MachineInvariantError) as err:
         _machine(**parts)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("direction", HAT_DIRECTIONS)
+def test_machine_refuses_hat_directions(direction):
+    with pytest.raises(MachineInvariantError) as err:
+        _machine({("p", "a", "Z"): Move("p", (), direction)})
+    assert str(err.value) == f"delta('p', 'a', 'Z'): bad direction {direction!r}"
+
+
+@pytest.mark.parametrize(
+    "row, twoway, message",
+    [
+        ('q "a" Z -> q X hatright', "no", "hat moves carry no push string"),
+        ('q "a" Z -> q X,Y hatdown', "yes", "hat moves carry no push string"),
+        ("q > Z -> q - hatright", "no", "cannot move right off the right end marker"),
+        ("q < Z -> q - hatleft", "yes", "cannot move left off the left end marker"),
+        ('q "a" Z -> q - hatleft', "no", "left moves need a two-way machine"),
+    ],
+    ids=["push", "push-two-way", "off-right", "off-left", "one-way-left"],
+)
+def test_reader_names_the_line_of_a_bad_hat_row(row, twoway, message):
+    text = f'@twoway {twoway}\n@initial q\n@bottom Z\n@alphabet "ab"\nq "b" Z -> q - down\n{row}\n'
+    with pytest.raises(MachineTextError) as err:
+        parse_machine_text(text)
+    assert str(err.value) == f"line 6: {message}"
 
 
 def test_validation_reports_the_first_bad_transition():
@@ -200,18 +222,12 @@ def test_step_down_pop_keeps_head():
 
 
 def test_step_halts_without_transition():
-    m = builtin_anbncn()
-    c = Configuration("q1", (("Z0", 0),), 1)  # letter a, but hats not expanded
-    # Hat moves must be expanded before stepping.
-    with pytest.raises(MachineInvariantError):
-        step(m, c, "abc")
-    md = desugar_hat_moves(m)
-    halted = step(md, Configuration("q0", (("X", 2), ("Z0", 0)), 2), "ax")
+    halted = step(builtin_anbncn(), Configuration("q0", (("X", 2), ("Z0", 0)), 2), "ax")
     assert isinstance(halted, Halt) and halted.reason == "no-transition"
 
 
 def test_run_outcomes():
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     assert run_direct(md, "aaabbbccc").outcome == "accept"
     assert run_direct(md, "aabbbccc").outcome == "reject"
     assert run_direct(md, "").outcome == "reject"
@@ -219,7 +235,7 @@ def test_run_outcomes():
 
 
 def test_final_configuration_of_accepting_run():
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     run = run_direct(md, "aaabbbccc")
     assert run.final == Configuration("qf", (), 10)
 
@@ -230,7 +246,7 @@ def test_end_markers_inside_the_word_are_foreign_letters(word):
     # the alphabet: every engine halts on it rather than reading an end.
     from pegmachine.cooksim import run_linear
 
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     foreign = word.replace("<", "z").replace(">", "z")
     run = run_direct(md, word)
     assert (run.outcome, run.reason) == ("reject", "no-transition")
@@ -246,7 +262,7 @@ def test_end_markers_inside_the_word_are_foreign_letters(word):
 
 def _moves(word):
     """The (before, after) configuration pairs of the reference run on ``word``."""
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     configs = configurations(md, word)
     return md, run_direct(md, word), list(zip(configs, configs[1:]))
 
@@ -289,7 +305,7 @@ def test_bottom_popped_only_at_accepting_last_move(word):
 
 
 def test_render_parse_roundtrip():
-    md = desugar_hat_moves(builtin_anbncn())
+    md = builtin_anbncn()
     text = render_machine_text(md)
     again = parse_machine_text(text)
     assert render_machine_text(again) == text

@@ -21,12 +21,12 @@ from pegmachine.pppda import (
     LEFT,
     LEFT_MARK,
     Machine,
+    MachineBuilder,
     Move,
     RIGHT,
     RIGHT_MARK,
     UP,
     check_normal,
-    desugar_hat_moves,
     initial_configuration,
     normalize,
     run_direct,
@@ -154,15 +154,11 @@ def random_sweep_machine(rng: random.Random) -> Machine:
             del delta[key]
         elif roll < 0.25:
             delta[key] = _random_move(rng, key[1], gamma, states)
-    return desugar_hat_moves(Machine(
-        states=states,
-        input_alphabet=tuple(SIGMA),
-        stack_alphabet=gamma,
-        finals=("f",) + tuple(q for q in states[:-1] if rng.random() < 0.2),
-        initial_state=push_states[0],
-        bottom="Z",
-        delta=delta,
-    ))
+    finals = ("f",) + tuple(q for q in states[:-1] if rng.random() < 0.2)
+    mb = MachineBuilder(push_states[0], "Z", SIGMA, finals, states=states, stack_alphabet=gamma)
+    for (q, a, z), move in delta.items():
+        mb.emit(q, a, z, move)
+    return mb.build()
 
 
 def stepped_run(m: Machine, word: str, limit: int) -> tuple:

@@ -1,11 +1,13 @@
 import pytest
 
-from pegmachine.errors import NotNormalError
+from pegmachine.errors import MachineInvariantError, NotNormalError
 from pegmachine.pppda import (
     DOWN,
     HAT_DIRECTIONS,
     HAT_DOWN,
+    HAT_LEFT,
     HAT_RIGHT,
+    LEFT,
     LEFT_MARK,
     Machine,
     MachineBuilder,
@@ -14,98 +16,103 @@ from pegmachine.pppda import (
     RIGHT_MARK,
     UP,
     builtin_anbncn,
-    builtin_loop,
-    builtin_sweep,
     check_normal,
-    desugar_hat_moves,
     normalize,
     run_direct,
 )
-from pegmachine.translate import grammar_to_machine
 
 from conftest import all_words
+from test_builtin_anbncn import independent_oracle
 
 
-def test_hat_desugar_is_identity_without_hats():
-    m = desugar_hat_moves(builtin_anbncn())
-    assert desugar_hat_moves(m) is m
+# Hat moves are expanded by MachineBuilder.emit, and by the .mach reader
+# through it: a Machine never holds one.
+
+
+@pytest.mark.parametrize("direction", HAT_DIRECTIONS)
+def test_builder_expands_each_hat_direction(direction):
+    mb = MachineBuilder("q", "Z", "ab", two_way=True, states=("q", "t"), stack_alphabet=("Z",))
+    mb.emit("q", "a", "Z", Move("t", (), direction))
+    m = mb.build()
+    mid, sym = f"hats:t:{direction}", f"hat:t:{direction}"
+    core = {HAT_LEFT: LEFT, HAT_DOWN: DOWN, HAT_RIGHT: RIGHT}[direction]
+    assert m.states == ("q", "t", mid) and m.stack_alphabet == ("Z", sym)
+    assert m.delta[("q", "a", "Z")] == Move(mid, (sym,), core)
+    # The pop lands in the target whatever the letter, on the left end
+    # marker too unless the push moved right.
+    markers = (RIGHT_MARK,) if direction == HAT_RIGHT else (RIGHT_MARK, LEFT_MARK)
+    assert {k: mv for k, mv in m.delta.items() if k[0] == mid} == {
+        (mid, a, sym): Move("t", (), DOWN) for a in ("a", "b") + markers
+    }
+
+
+def test_builder_refuses_a_hat_with_a_push_string():
+    mb = MachineBuilder("q", "Z", "a", states=("q",), stack_alphabet=("Z",))
+    with pytest.raises(MachineInvariantError) as err:
+        mb.emit("q", "a", "Z", Move("q", ("Z",), HAT_RIGHT))
+    assert str(err.value) == "delta('q', 'a', 'Z'): hat moves carry no push string"
 
 
 def test_hat_desugar_expansion_shape():
-    m = builtin_anbncn()
-    md = desugar_hat_moves(m)
+    md = builtin_anbncn()  # its one hat row: q1 "a" Z0 -> q1 - hatright
     mv = md.delta[("q1", "a", "Z0")]
-    assert mv.push and mv.direction == RIGHT
-    fresh = mv.push[0]
+    assert mv == Move("hats:q1:hatright", ("hat:q1:hatright",), RIGHT)
     for sigma in md.input_alphabet + (RIGHT_MARK,):
-        pop = md.delta[(mv.state, sigma, fresh)]
-        assert pop == Move("q1", (), DOWN)
+        assert md.delta[(mv.state, sigma, mv.push[0])] == Move("q1", (), DOWN)
 
 
 def test_hat_desugar_preserves_language():
-    m = builtin_anbncn()
-    md = desugar_hat_moves(m)
-    for word in all_words("abc", 9):
-        want = run_direct(md, word).outcome
-        assert want in ("accept", "reject")
-    # Spot equivalence against a hand-built hat-free variant is covered by
-    # the oracle test in test_builtin_anbncn; here check determinism of size.
-    assert len(md.delta) > len(m.delta)
+    # The oracle reads the hat row literally: the head moves, the stack stays.
+    md = builtin_anbncn()
+    for word in all_words("abc", 7):
+        assert (run_direct(md, word).outcome == "accept") == independent_oracle(word), word
+
+
+# Five hat rows with three distinct (target, direction) pairs; the machine
+# accepts every word over "ab".
+MANY_HATS = [
+    ("q", LEFT_MARK, "Z", Move("q", ("X",), RIGHT)),
+    ("q", "a", "X", Move("p", (), HAT_RIGHT)),
+    ("q", "b", "X", Move("p", (), HAT_RIGHT)),
+    ("p", "a", "X", Move("p", (), HAT_RIGHT)),
+    ("p", "b", "X", Move("q", (), HAT_DOWN)),
+    ("q", RIGHT_MARK, "X", Move("p", (), HAT_DOWN)),
+    ("p", RIGHT_MARK, "X", Move("f", (), DOWN)),
+    ("f", RIGHT_MARK, "Z", Move("f", (), DOWN)),
+]
 
 
 def _machine_many_hats() -> Machine:
-    # Five hat moves with three distinct (target, direction) pairs; accepts
-    # every word over "ab".
-    return Machine(
-        states=("q", "p", "f"),
-        input_alphabet=("a", "b"),
-        stack_alphabet=("Z", "X"),
-        finals=("f",),
-        initial_state="q",
-        bottom="Z",
-        delta={
-            ("q", LEFT_MARK, "Z"): Move("q", ("X",), RIGHT),
-            ("q", "a", "X"): Move("p", (), HAT_RIGHT),
-            ("q", "b", "X"): Move("p", (), HAT_RIGHT),
-            ("p", "a", "X"): Move("p", (), HAT_RIGHT),
-            ("p", "b", "X"): Move("q", (), HAT_DOWN),
-            ("q", RIGHT_MARK, "X"): Move("p", (), HAT_DOWN),
-            ("p", RIGHT_MARK, "X"): Move("f", (), DOWN),
-            ("f", RIGHT_MARK, "Z"): Move("f", (), DOWN),
-        },
-    )
+    mb = MachineBuilder("q", "Z", "ab", ("f",), states=("q", "p", "f"), stack_alphabet=("Z", "X"))
+    for row in MANY_HATS:
+        mb.emit(*row)
+    return mb.build()
+
+
+def test_builder_names_hat_expansions_in_first_use_order():
+    m = _machine_many_hats()
+    fresh = ("p:hatright", "q:hatdown", "p:hatdown")
+    assert m.states == ("q", "p", "f") + tuple("hats:" + h for h in fresh)
+    assert m.stack_alphabet == ("Z", "X") + tuple("hat:" + h for h in fresh)
+    for q, a, z, mv in MANY_HATS:
+        if mv.direction in HAT_DIRECTIONS:
+            assert m.delta[(q, a, z)].state == f"hats:{mv.state}:{mv.direction}"
 
 
 @pytest.mark.parametrize("factory", [builtin_anbncn, _machine_many_hats])
 def test_hat_desugar_shares_expansion_per_target_and_direction(factory):
     m = factory()
-    hats = {(mv.state, mv.direction) for mv in m.delta.values() if mv.direction in HAT_DIRECTIONS}
-    md = desugar_hat_moves(m)
-    assert len(md.states) - len(m.states) <= len(hats)
-    assert len(md.stack_alphabet) - len(m.stack_alphabet) <= len(hats)
-    expansions = {}
-    for key, mv in m.delta.items():
-        if mv.direction in HAT_DIRECTIONS:
-            assert expansions.setdefault((mv.state, mv.direction), md.delta[key]) == md.delta[key]
+    hats = [q for q in m.states if q.startswith("hats:")]
+    # One push per hat state, of that state's own fresh symbol, for every row.
+    pushes = {mv for mv in m.delta.values() if mv.state in hats}
+    assert sorted(mv.state for mv in pushes) == sorted(hats)
+    assert all(mv.push == ("hat:" + mv.state[len("hats:"):],) for mv in pushes)
 
 
 def test_hat_desugar_shared_expansion_preserves_language():
-    md = desugar_hat_moves(_machine_many_hats())
+    md = _machine_many_hats()
     for word in all_words("ab", 6):
         assert run_direct(md, word).outcome == "accept", word
-
-
-def test_hat_desugar_records_the_computed_verdict(fig2, sec13_union, sec13_abc):
-    # The verdict is recorded when the machine is built, so the engines'
-    # hat check does not walk δ; it must equal the one a walk computes.
-    machines = [grammar_to_machine(g) for g in (fig2, sec13_union, sec13_abc)]
-    for m in machines:  # compile expands its hat moves as it emits them
-        assert not any(mv.direction in HAT_DIRECTIONS for mv in m.delta.values())
-    for factory in (builtin_anbncn, builtin_loop, builtin_sweep, _machine_many_hats):
-        machines.append(desugar_hat_moves(factory()))
-    for m in machines:
-        assert "has_hat_moves" in vars(m)
-        assert m.has_hat_moves is any(mv.direction in HAT_DIRECTIONS for mv in m.delta.values())
 
 
 def _machine_pop_right() -> Machine:
@@ -148,7 +155,7 @@ def _machine_multi_push() -> Machine:
     [
         (_machine_pop_right, "a"),
         (_machine_multi_push, "ab"),
-        (lambda: desugar_hat_moves(builtin_anbncn()), "abc"),
+        (lambda: builtin_anbncn(), "abc"),
     ],
 )
 def test_normalize_preserves_language(factory, sigma):
@@ -162,7 +169,7 @@ def test_normalize_preserves_language(factory, sigma):
 
 
 def test_normalize_structural_properties():
-    norm = normalize(desugar_hat_moves(builtin_anbncn()))
+    norm = normalize(builtin_anbncn())
     for (q, a, z), mv in norm.delta.items():
         if not mv.push:
             assert mv.direction in (DOWN, UP)
@@ -229,7 +236,7 @@ def test_normalize_max_push_length_one():
 
 
 def test_normalize_idempotent_language():
-    norm1 = normalize(desugar_hat_moves(builtin_anbncn()))
+    norm1 = normalize(builtin_anbncn())
     norm2 = normalize(norm1)
     check_normal(norm2)
     for word in all_words("abc", 7):
@@ -255,7 +262,7 @@ def test_normalized_machine_start_convention():
     """Started at cell 1 with the bottom's origin there, runs coincide."""
     from pegmachine.pppda.machine import Configuration, step, Halt
 
-    norm = normalize(desugar_hat_moves(builtin_anbncn()))
+    norm = normalize(builtin_anbncn())
     for word in ("abc", "aabbcc", "abca", "ab", ""):
         # Conventional run.
         want = run_direct(norm, word).outcome

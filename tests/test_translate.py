@@ -27,7 +27,6 @@ from pegmachine.pppda import (
     Machine,
     Move,
     builtin_anbncn,
-    desugar_hat_moves,
     normalize,
     run_direct,
 )
@@ -127,11 +126,11 @@ def test_invariant_signed_states_report_parse_outcomes(fig2):
 
 def test_extract_requires_normal_form():
     with pytest.raises(NotNormalError):
-        dppda_to_peg(desugar_hat_moves(builtin_anbncn()))
+        dppda_to_peg(builtin_anbncn())
 
 
 def test_extract_checks_machines_passed_straight_in():
-    # A machine with a two-symbol push is hat-free and one-way but not normal.
+    # A machine with a two-symbol push is one-way but not normal.
     m = Machine(
         states=("q", "f"),
         input_alphabet=("a",),
@@ -151,14 +150,14 @@ def test_extract_checks_machines_passed_straight_in():
 
 
 def test_normal_form_verdict_is_cached():
-    norm = normalize(desugar_hat_moves(builtin_anbncn()))
+    norm = normalize(builtin_anbncn())
     assert norm.__dict__["normal_form_defect"] is None  # set by normalize's check
     dppda_to_peg(norm)
-    assert builtin_anbncn().normal_form_defect == "machine has hat moves"
+    assert builtin_anbncn().normal_form_defect == "pop at ('q0', 'b', 'X') moves right"
 
 
 def test_extract_anbncn_agrees_with_machine():
-    norm = normalize(desugar_hat_moves(builtin_anbncn()))
+    norm = normalize(builtin_anbncn())
     g = dppda_to_peg(norm)
     for n in (1, 2, 3):
         assert accepts(g, "a" * n + "b" * n + "c" * n)

@@ -14,10 +14,10 @@ from pegmachine.pppda import (
     HAT_RIGHT,
     LEFT_MARK,
     Machine,
+    MachineBuilder,
     Move,
     RIGHT,
     RIGHT_MARK,
-    desugar_hat_moves,
     run_direct,
 )
 
@@ -25,37 +25,29 @@ from conftest import all_words
 
 
 def sweeping_anbn() -> Machine:
-    delta = {
-        ("p1", LEFT_MARK, "Z"): Move("p1", (), HAT_RIGHT),
-        ("p3", "a", "Z"): Move("p3", ("X",), RIGHT),
-        ("p3", "a", "X"): Move("p3", ("X",), RIGHT),
-        ("p3", "b", "X"): Move("p4", (), RIGHT),
-        ("p4", "b", "X"): Move("p4", (), RIGHT),
-        ("p3", RIGHT_MARK, "Z"): Move("pf", (), DOWN),
-        ("p4", RIGHT_MARK, "Z"): Move("pf", (), DOWN),
-    }
+    mb = MachineBuilder("p1", "Z", "ab", ("pf",), two_way=True,
+                        states=("p1", "p2", "p3", "p4", "pf"), stack_alphabet=("Z", "X"))
+    emit = mb.emit
+    emit("p1", LEFT_MARK, "Z", Move("p1", (), HAT_RIGHT))
+    emit("p3", "a", "Z", Move("p3", ("X",), RIGHT))
+    emit("p3", "a", "X", Move("p3", ("X",), RIGHT))
+    emit("p3", "b", "X", Move("p4", (), RIGHT))
+    emit("p4", "b", "X", Move("p4", (), RIGHT))
+    emit("p3", RIGHT_MARK, "Z", Move("pf", (), DOWN))
+    emit("p4", RIGHT_MARK, "Z", Move("pf", (), DOWN))
     for a in "ab":
-        delta[("p1", a, "Z")] = Move("p1", (), HAT_RIGHT)
-        delta[("p2", a, "Z")] = Move("p2", (), HAT_LEFT)
+        emit("p1", a, "Z", Move("p1", (), HAT_RIGHT))
+        emit("p2", a, "Z", Move("p2", (), HAT_LEFT))
     # End of the rightward sweep; turn around.
-    delta[("p1", RIGHT_MARK, "Z")] = Move("p2", (), HAT_LEFT)
+    emit("p1", RIGHT_MARK, "Z", Move("p2", (), HAT_LEFT))
     # End of the leftward sweep; start checking.
-    delta[("p2", LEFT_MARK, "Z")] = Move("p3", (), HAT_RIGHT)
-    return Machine(
-        states=("p1", "p2", "p3", "p4", "pf"),
-        input_alphabet=("a", "b"),
-        stack_alphabet=("Z", "X"),
-        finals=("pf",),
-        initial_state="p1",
-        bottom="Z",
-        delta=delta,
-        two_way=True,
-    )
+    emit("p2", LEFT_MARK, "Z", Move("p3", (), HAT_RIGHT))
+    return mb.build()
 
 
 @pytest.fixture(scope="module")
 def machine():
-    return desugar_hat_moves(sweeping_anbn())
+    return sweeping_anbn()
 
 
 def test_two_way_language(machine):
