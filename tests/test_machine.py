@@ -5,8 +5,6 @@ from pegmachine.pppda import (
     Configuration,
     DOWN,
     HAT_DIRECTIONS,
-    HAT_LEFT,
-    HAT_RIGHT,
     Halt,
     LEFT,
     LEFT_MARK,
