@@ -336,16 +336,24 @@ def cmd_compose(args) -> int:
         _write_out(args, render_grammar_text(out))
     elif op == "concat-dcfl":
         x = _load_any(args.paths[0])
-        if not isinstance(x, Dpda):
-            raise _Invalid(f"{args.paths[0]}: concat-dcfl needs a DPDA file (@kind dpda) first")
+        if isinstance(x, Dpda):
+            dpdas = [x]
+        elif isinstance(x, CompositionSpec):
+            dpdas = [x.bindings[label] for label in x.dfa.labels]
+        else:
+            raise _Invalid(
+                f"{args.paths[0]}: concat-dcfl needs a DPDA file or a composition spec first"
+            )
         y = _load_any(args.paths[1])
         if not isinstance(y, (Grammar, Machine)):
             raise _Invalid(f"{args.paths[1]}: concat-dcfl needs a grammar or machine file second")
         if isinstance(y, Grammar):
-            sigma = list(y.alphabet) + [c for c in x.input_alphabet if c not in y.alphabet]
+            sigma = dict.fromkeys(y.alphabet)
+            for d in dpdas:
+                sigma.update(dict.fromkeys(d.input_alphabet))
             y = grammar_to_machine(
                 Grammar.build(
-                    [(n, y.rules[n]) for n in y.nonterminals], axiom=y.axiom, alphabet=sigma
+                    [(n, y.rules[n]) for n in y.nonterminals], axiom=y.axiom, alphabet=tuple(sigma)
                 )
             )
         _write_out(args, render_machine_text(left_concat_dcfl(x, y)))

@@ -1,5 +1,6 @@
-"""Language closure constructions: Boolean combinators, concatenation with a
-deterministic pushdown language, and the regular-closure machine builder."""
+"""Language closure constructions: Boolean combinators, and one
+suspend-and-resume machine builder for the regular closure of deterministic
+pushdown languages and for its left concatenation with a grammar."""
 
 from .boolean import pel_complement, pel_intersection, pel_union
 from .concat import left_concat_dcfl

@@ -45,7 +45,20 @@ class MachineTextError(ToolkitError):
 
 
 class MachineInvariantError(ToolkitError):
-    """A machine description violates the model's invariants."""
+    """A machine description violates the model's invariants.
+
+    ``key`` is the δ key of the offending transition, when there is one;
+    the message then starts with it.
+    """
+
+    def __init__(self, message: str, key: tuple[str, str, str] | None = None):
+        self.key = key
+        self.detail = message
+        super().__init__(f"delta{key!r}: {message}" if key else message)
+
+
+class MachineRowError(MachineTextError, MachineInvariantError):
+    """A row of a machine file whose transition violates the model's invariants."""
 
 
 class NotNormalError(ToolkitError):

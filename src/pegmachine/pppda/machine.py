@@ -247,24 +247,24 @@ def validate_machine(m: Machine) -> None:
         and (m.two_way or LEFT not in directions)
     ):
         return
-    for (q, a, z), mv in m.delta.items():
-        where = f"delta({q!r}, {a!r}, {z!r})"
+    for key, mv in m.delta.items():
+        q, a, z = key
         if q not in states or mv.state not in states:
-            raise MachineInvariantError(f"{where}: unknown state")
+            raise MachineInvariantError("unknown state", key)
         if a not in sigma and a not in (LEFT_MARK, RIGHT_MARK):
-            raise MachineInvariantError(f"{where}: unknown letter")
+            raise MachineInvariantError("unknown letter", key)
         if z not in gamma or not set(mv.push) <= gamma:
-            raise MachineInvariantError(f"{where}: unknown stack symbol")
+            raise MachineInvariantError("unknown stack symbol", key)
         if mv.direction not in _DIRECTIONS:
-            raise MachineInvariantError(f"{where}: bad direction {mv.direction!r}")
+            raise MachineInvariantError(f"bad direction {mv.direction!r}", key)
         if mv.direction == UP and mv.push:
-            raise MachineInvariantError(f"{where}: an up move must not push")
+            raise MachineInvariantError("an up move must not push", key)
         if a == LEFT_MARK and mv.direction == LEFT:
-            raise MachineInvariantError(f"{where}: cannot move left off the left end marker")
+            raise MachineInvariantError("cannot move left off the left end marker", key)
         if a == RIGHT_MARK and mv.direction == RIGHT:
-            raise MachineInvariantError(f"{where}: cannot move right off the right end marker")
+            raise MachineInvariantError("cannot move right off the right end marker", key)
         if not m.two_way and mv.direction == LEFT:
-            raise MachineInvariantError(f"{where}: left moves need a two-way machine")
+            raise MachineInvariantError("left moves need a two-way machine", key)
 
 
 # --- building machines --------------------------------------------------------
@@ -343,7 +343,7 @@ class MachineBuilder:
         key = (q, a, z)
         if move[2] in _HAT_CORE:
             if move.push:
-                raise MachineInvariantError(f"delta{key!r}: hat moves carry no push string")
+                raise MachineInvariantError("hat moves carry no push string", key)
             move = self._hat(move.state, move.direction)
         prev = self.delta.setdefault(key, move)
         if prev is not move and prev != move:

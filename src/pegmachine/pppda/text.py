@@ -34,20 +34,21 @@ symbol column, so a token reads the same on every line.  Directions are
 hatright``, which are input sugar: once every row is read, each hat row is
 expanded as :meth:`MachineBuilder.emit` expands it, into ``hats:``/``hat:``
 names registered after every name the file uses; so no command writes one.
-``@meta key value`` lines carry tool annotations and round-trip unchanged.
+A row that breaks a rule of the model (an ``up`` move that pushes, a move
+off either end marker, a left move in a one-way file) is reported at its
+line, hat rows included.  ``@meta key value`` lines carry tool annotations
+and round-trip unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Any, Container, Mapping
 
-from ..errors import MachineTextError
+from ..errors import MachineInvariantError, MachineRowError, MachineTextError
 from ..peg.ast import is_letter
 from .machine import (
     CORE_DIRECTIONS,
     HAT_DIRECTIONS,
-    HAT_LEFT,
-    HAT_RIGHT,
     LEFT_MARK,
     Machine,
     MachineBuilder,
@@ -56,11 +57,6 @@ from .machine import (
 )
 
 _DIRS = set(CORE_DIRECTIONS) | set(HAT_DIRECTIONS)
-# (letter, hat direction) pairs that would move the head off the tape.
-_HAT_OFF_THE_ENDS = {
-    (LEFT_MARK, HAT_LEFT): "cannot move left off the left end marker",
-    (RIGHT_MARK, HAT_RIGHT): "cannot move right off the right end marker",
-}
 
 # Directive shapes besides a tuple, which is one argument from those values.
 REQUIRED = "required"  # one argument, once, in every file
@@ -223,12 +219,7 @@ def parse_machine_text(text: str) -> Machine:
             if direction not in _DIRS:
                 raise MachineTextError(f"bad direction {direction!r}", lineno)
             push = split_push(push_tok, declared, lineno)
-            if direction in HAT_DIRECTIONS:
-                if push:
-                    raise MachineTextError("hat moves carry no push string", lineno)
-                if direction == HAT_LEFT and not mb.two_way:
-                    raise MachineTextError("left moves need a two-way machine", lineno)
-                hats = True
+            hats = hats or direction in HAT_DIRECTIONS
             for sym in push:
                 note_symbol(sym)
             move = moves[q2, push_tok, direction] = Move(q2, push, direction)
@@ -240,16 +231,20 @@ def parse_machine_text(text: str) -> Machine:
         delta[key] = move
 
     mb.input_alphabet = tuple(alphabet)
-    if hats:
-        # Re-emit δ in row order, so that each hat is expanded where the
-        # first row using it stands, after every name the file gives.
-        mb.delta = {}
-        for (lineno, _), (key, move) in zip(body, delta.items()):
-            off = _HAT_OFF_THE_ENDS.get((key[1], move.direction))
-            if off:
-                raise MachineTextError(off, lineno)
-            mb.emit(*key, move)
-    return mb.build()
+    try:
+        if hats:
+            # Re-emit δ in row order, so that each hat is expanded where the
+            # first row using it stands, after every name the file gives.
+            mb.delta = {}
+            for key, move in delta.items():
+                mb.emit(*key, move)
+        return mb.build()
+    except MachineInvariantError as exc:
+        # A fault of a row, or of its hat's expansion, is named at its line.
+        lines = dict(zip(delta, (lineno for lineno, _ in body)))
+        if exc.key not in lines:
+            raise
+        raise MachineRowError(exc.detail, lines[exc.key]) from None
 
 
 def render_machine_text(m: Machine) -> str:

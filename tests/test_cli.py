@@ -247,6 +247,19 @@ def test_compose_concat_and_reg_closure(tmp_path):
     assert run_cli("run", str(rc), "abcd", "--engine", "cook").returncode == 0
 
 
+def test_compose_concat_takes_a_spec_first(tmp_path):
+    """(l1 l2)* over a^n b^n and c^m d, then e*: the grammar's alphabet is widened."""
+    spec = _reg_closure_spec(tmp_path)
+    estar = tmp_path / "estar.peg"
+    estar.write_text('S <- "e" S / ""\n')
+    out = tmp_path / "sc.mach"
+    assert run_cli(
+        "compose", "concat-dcfl", str(spec), str(estar), "-o", str(out)
+    ).returncode == 0
+    for word, code in (("abcdee", 0), ("", 0), ("e", 0), ("aabbccd", 0), ("abe", 1), ("eab", 1)):
+        assert run_cli("run", str(out), word, "--engine", "cook").returncode == code, word
+
+
 def _reg_closure_spec(tmp_path):
     """A composition spec over the pairs DFA, binding a^n b^n and c^m d^m."""
     for name, text in (

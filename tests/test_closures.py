@@ -241,9 +241,19 @@ def test_brute_force_examples():
     assert brute_force_membership(single, "ab") is True
 
 
-def test_brute_force_length_restriction():
-    with pytest.raises(ValueError):
-        brute_force_membership(_pairs_spec(), "a" * 11)
+def test_brute_force_agrees_with_the_machine_on_long_words():
+    """The oracle has no length cap: 40-letter words and their one-letter mutants."""
+    spec = _pairs_spec()
+    m = reg_closure_machine(spec)
+    word = "abcd" * 10
+    words = [word] + [word[:i] + c + word[i + 1:] for i in range(len(word)) for c in "abcd"]
+    cache: dict = {}
+    verdicts = set()
+    for w in dict.fromkeys(words):
+        want = brute_force_membership(spec, w, cache)
+        verdicts.add(want)
+        assert (run_linear(m, w).outcome == "accept") == want, w
+    assert verdicts == {True, False}
 
 
 def test_reg_closure_pairs_machine():

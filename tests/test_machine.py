@@ -184,6 +184,22 @@ def test_reader_names_the_line_of_a_bad_hat_row(row, twoway, message):
     assert str(err.value) == f"line 6: {message}"
 
 
+@pytest.mark.parametrize(
+    "row, twoway, message",
+    [
+        ("q > Z -> q - right", "no", "cannot move right off the right end marker"),
+        ('q "a" Z -> q - left', "no", "left moves need a two-way machine"),
+        ('q "a" Z -> q X up', "no", "an up move must not push"),
+    ],
+    ids=["off-right", "one-way-left", "up-push"],
+)
+def test_reader_names_the_line_of_a_bad_core_row(row, twoway, message):
+    text = f'@twoway {twoway}\n@initial q\n@bottom Z\n@alphabet "ab"\nq "b" Z -> q - down\n{row}\n'
+    with pytest.raises(MachineTextError) as err:
+        parse_machine_text(text)
+    assert str(err.value) == f"line 6: {message}"
+
+
 def test_validation_reports_the_first_bad_transition():
     bad = {("p", "a", "Z"): Move("p", (), LEFT), ("s", "a", "X"): Move("p", (), DOWN)}
     with pytest.raises(MachineInvariantError) as err:
