@@ -29,11 +29,11 @@ from .closures import (
     reg_closure_machine,
 )
 from .cooksim import run_linear, work_bound
+from .engines import GRAMMAR_ENGINES, recognize
 from .errors import MachineTextError, ToolkitError
 from .fuzz import ALPHABET as FUZZ_ALPHABET
 from .fuzz import FuzzConfig, run_fuzz
-from .peg.ast import DIVERGED, Consumed, Grammar, render_grammar_text
-from .peg.interpret import DEFAULT_BUDGET, interpret_naive, interpret_packrat
+from .peg.ast import Grammar, render_grammar_text
 from .peg.parser import parse_grammar_text
 from .peg.transform import desugar, to_cnf
 from .peg.wellformed import check_well_formed
@@ -47,6 +47,7 @@ EXIT_REJECT = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_DIVERGENCE = 4
+_EXIT_OF = {"accept": EXIT_ACCEPT, "reject": EXIT_REJECT, "budget": EXIT_BUDGET}
 
 
 class _Invalid(Exception):
@@ -150,58 +151,31 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    engine = args.engine
-    if args.trace and engine not in (None, "direct"):
+    if args.trace and args.engine not in (None, "direct"):
         raise _Invalid("--trace needs the direct engine")
     obj = _load_any(args.path)
     word = _word_from(args)
-    stats: dict[str, object] = {}
-
     if isinstance(obj, Grammar):
         _check_word(word, obj.alphabet)
         # A traced grammar is compiled, since only the direct engine traces.
-        if not args.trace and engine in (None, "packrat", "naive"):
-            core = desugar(obj)
-            if engine == "naive":
-                budget = args.budget if args.budget is not None else DEFAULT_BUDGET
-                outcome = interpret_naive(core, core.rules[core.axiom], word, 0, budget)
-                if outcome is DIVERGED:
-                    print("budget")
-                    return EXIT_BUDGET
-                accepted = outcome == Consumed(len(word))
-            else:
-                pstats: dict[str, int] = {}
-                accepted = interpret_packrat(core, word, pstats) == Consumed(len(word))
-                stats["packrat.computed"] = pstats.get("computed", 0)
-                stats["packrat.lookups"] = pstats.get("lookups", 0)
-            print("accept" if accepted else "reject")
-            _emit_stats(args, stats)
-            return EXIT_ACCEPT if accepted else EXIT_REJECT
-        machine = grammar_to_machine(obj)
+        engine = args.engine or ("direct" if args.trace else "packrat")
+        source = desugar(obj) if engine in GRAMMAR_ENGINES else grammar_to_machine(obj)
+    elif not isinstance(obj, Machine):
+        raise _Invalid("run needs a grammar or machine file")
+    elif args.engine in GRAMMAR_ENGINES:
+        raise _Invalid("the packrat/naive engines need a grammar; extract one explicitly first")
     else:
-        if not isinstance(obj, Machine):
-            raise _Invalid("run needs a grammar or machine file")
-        if engine in ("packrat", "naive"):
-            raise _Invalid(
-                "the packrat/naive engines need a grammar; extract one explicitly first"
-            )
-        machine = obj
-    _check_word(word, machine.input_alphabet)
-
-    if engine == "cook":
-        run = run_linear(machine, word)
-        stats["cook.ops"] = run.ops
-        print(run.outcome)
-        _emit_stats(args, stats)
-        return EXIT_ACCEPT if run.outcome == "accept" else EXIT_REJECT
-    printer = _trace_printer() if args.trace else None
-    run = run_direct(machine, word, _step_limit(args), printer)
-    stats["direct.steps"] = run.steps
-    print(run.outcome)
-    _emit_stats(args, stats)
-    if run.outcome == "budget":
-        return EXIT_BUDGET
-    return EXIT_ACCEPT if run.outcome == "accept" else EXIT_REJECT
+        _check_word(word, obj.input_alphabet)
+        engine, source = args.engine or "direct", obj
+    # --budget bounds the naive engine, --step-limit the direct one.
+    budget = args.budget if engine == "naive" else _step_limit(args) if engine == "direct" else None
+    report = recognize(engine, source, word, budget, _trace_printer() if args.trace else None)
+    print(report.outcome)
+    if args.stats and report.counters:
+        print("---")
+        for key in sorted(report.counters):
+            print(f"{engine}.{key}={report.counters[key]}")
+    return _EXIT_OF[report.outcome]
 
 
 def _trace_printer():
@@ -218,13 +192,6 @@ def _trace_printer():
         print(f"{next(count)}\t{kind}\t{state}\t{head}\t{depth}\t{popped}")
 
     return print_event
-
-
-def _emit_stats(args, stats: dict[str, object]) -> None:
-    if getattr(args, "stats", False) and stats:
-        print("---")
-        for key in sorted(stats):
-            print(f"{key}={stats[key]}")
 
 
 def cmd_desugar(args) -> int:

@@ -74,6 +74,9 @@ class CompositionSpec:
         for label in self.dfa.labels:
             if label not in self.bindings:
                 raise CompositionError(f"label {label!r} has no bound language")
+        for label in self.bindings:
+            if label not in self.dfa.labels:
+                raise CompositionError(f"label {label!r} is bound but the DFA has no such label")
         for label, d in self.bindings.items():
             if dpda_run(d, "") == ACCEPT:
                 raise CompositionError(

@@ -32,6 +32,8 @@ for ``L`` letter codes.  A surface whose move pops is trivially its own
 terminator, and one with no move is stuck; neither can be part of a loop,
 so the chase resolves them on the spot and gives them no table entry.  In
 particular a pushed symbol that pops at once costs one δ read and one op.
+:func:`run_linear` applies the bottom's pop the same way, and the direct
+engine's halt rule gives the verdict.
 """
 
 from __future__ import annotations
@@ -39,15 +41,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import MachineInvariantError
-from .pppda.machine import DOWN, LEFT, Machine, RIGHT, UP, letter_at
-
-ACCEPT, REJECT = "accept", "reject"
+from .pppda.machine import ACCEPT, REJECT, Machine, halt_reason
 
 IN_PROGRESS = "in-progress"
 STUCK = "stuck"
-
-# Head displacement of every direction but ``up``, which returns to the origin.
-_STEP = {LEFT: -1, DOWN: 0, RIGHT: 1}
 
 
 def terminator(
@@ -176,11 +173,11 @@ class LinearRun(NamedTuple):
 def run_linear(m: Machine, word: str) -> LinearRun:
     """Accept or reject in time linear in the input length.
 
-    Computes the terminator of the initial surface configuration, applies
-    its pop move (the bottom symbol's origin is 0), and accepts exactly
-    when that lands in a final state on the right end marker (the stack,
-    being a single symbol deep at start, is then empty).  A detected loop
-    or a stuck chase rejects.
+    Computes the terminator of the initial surface configuration and
+    applies its pop move through ``m.coded_delta``, as :func:`terminator`
+    applies every pop (the bottom symbol's origin is 0).  That pop empties
+    the stack, and :func:`halt_reason` gives the verdict, as for the direct
+    engine.  A detected loop or a stuck chase rejects.
     """
     delta = m.coded_delta
     table: dict[int, object] = {}
@@ -194,13 +191,10 @@ def run_linear(m: Machine, word: str) -> LinearRun:
     if value is STUCK:
         return LinearRun(REJECT, "stuck", ops, size)
     head, state = divmod(value, delta.key_space)  # type: ignore[call-overload]
-    mv = m.delta[(delta.decode_state(state), letter_at(word, head), m.bottom)]
-    head = 0 if mv.direction == UP else head + _STEP[mv.direction]
-    if mv.state in m.finals and head == len(word) + 1:
-        return LinearRun(ACCEPT, None, ops, size)
-    if mv.state not in m.finals:
-        return LinearRun(REJECT, "non-final-halt", ops, size)
-    return LinearRun(REJECT, "not-at-right-end", ops, size)
+    bottom = delta.symbol_code[m.bottom]
+    state, _, offset, up = delta[state + delta.letter_code(word, head) + bottom]
+    reason = halt_reason(m, word, delta.decode_state(state), 0 if up else head + offset, True)
+    return LinearRun(REJECT if reason else ACCEPT, reason, ops, size)
 
 
 class WorkReport(NamedTuple):

@@ -17,11 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cooksim import run_linear
+from .engines import recognize
 from .peg.ast import (
-    DIVERGED,
     Choice,
-    Consumed,
     Empty,
     Expression,
     Grammar,
@@ -32,9 +30,7 @@ from .peg.ast import (
     reachable_from,
     render_grammar_text,
 )
-from .peg.interpret import DEFAULT_BUDGET, interpret_naive, interpret_packrat
 from .peg.wellformed import check_well_formed
-from .pppda.machine import run_direct
 from .pppda.normalize import normalize
 from .translate import dppda_to_peg, peg_to_dppda
 
@@ -45,22 +41,19 @@ class FuzzConfig(NamedTuple):
     max_nonterminals: int = 4
     alphabet_size: int = 2
     max_word_len: int = 8
-    words_per_case: int = 12
-    naive_budget: int = DEFAULT_BUDGET
 
 
 class Divergence(NamedTuple):
     case_index: int
     grammar_text: str
     word: str
-    verdicts: tuple[tuple[str, str], ...]  # (engine, accept/reject/diverged)
+    verdicts: tuple[tuple[str, str], ...]  # (column, accept/reject/budget)
 
 
 @dataclass
 class FuzzReport:
     cases_run: int = 0
     divergence: Divergence | None = None
-    engines: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -156,47 +149,30 @@ def random_word(rng: random.Random, sigma: str, max_len: int) -> str:
 
 # --- engines -------------------------------------------------------------------
 
+WORDS_PER_CASE = 12
 
-def _engine_verdicts(g: Grammar, words: list[str], budget: int) -> dict[str, dict[str, str]]:
-    """Verdicts per engine per word; grammars must be normal-form shaped."""
+
+def _engine_verdicts(g: Grammar, words: list[str]) -> dict[str, dict[str, str]]:
+    """Outcome (accept/reject/budget) per column per word; ``g`` is normal-form shaped.
+
+    Each column is an (engine, source) route: ``g`` under both grammar
+    engines, its compiled machine under both machine engines, and, as
+    ``extract``, packrat on the grammar extracted from the normalized machine.
+    """
     from .peg.transform import desugar
 
     machine = peg_to_dppda(g)
-    extracted = desugar(dppda_to_peg(normalize(machine)))
-    out: dict[str, dict[str, str]] = {}
-
-    def naive(w: str) -> str:
-        r = interpret_naive(g, g.rules[g.axiom], w, 0, budget)
-        if r == Consumed(len(w)):
-            return "accept"
-        return "diverged" if r is DIVERGED else "reject"
-
-    def packrat(w: str) -> str:
-        return "accept" if interpret_packrat(g, w) == Consumed(len(w)) else "reject"
-
-    def direct(w: str) -> str:
-        r = run_direct(machine, w)
-        return r.outcome if r.outcome == "accept" else ("diverged" if r.outcome == "budget" else "reject")
-
-    def cook(w: str) -> str:
-        return "accept" if run_linear(machine, w).outcome == "accept" else "reject"
-
-    def extract_packrat(w: str) -> str:
-        return "accept" if interpret_packrat(extracted, w) == Consumed(len(w)) else "reject"
-
-    engines = {
-        "naive": naive,
-        "packrat": packrat,
-        "direct": direct,
-        "cook": cook,
-        "extract": extract_packrat,
+    routes = {
+        "naive": ("naive", g),
+        "packrat": ("packrat", g),
+        "direct": ("direct", machine),
+        "cook": ("cook", machine),
+        "extract": ("packrat", desugar(dppda_to_peg(normalize(machine)))),
     }
-    for name, fn in engines.items():
-        out[name] = {w: fn(w) for w in words}
-    return out
-
-
-ENGINE_NAMES = ("naive", "packrat", "direct", "cook", "extract")
+    return {
+        column: {w: recognize(engine, source, w).outcome for w in words}
+        for column, (engine, source) in routes.items()
+    }
 
 
 def _first_divergence(verdicts: dict[str, dict[str, str]], words: list[str]) -> str | None:
@@ -207,68 +183,44 @@ def _first_divergence(verdicts: dict[str, dict[str, str]], words: list[str]) -> 
     return None
 
 
-def run_fuzz(
-    config: FuzzConfig,
-    corrupt_engine: str | None = None,
-) -> FuzzReport:
-    """Run the differential campaign; ``corrupt_engine`` flips one engine's
-    verdicts on words of odd length (harness self-test hook)."""
+def run_fuzz(config: FuzzConfig) -> FuzzReport:
+    """Run the differential campaign."""
     rng = random.Random(config.seed)
-    report = FuzzReport(engines=ENGINE_NAMES)
+    report = FuzzReport()
     for index in range(config.cases):
         g = random_cnf_grammar(rng, config.max_nonterminals, config.alphabet_size)
         sigma = "".join(g.alphabet)
-        words = [random_word(rng, sigma, config.max_word_len) for _ in range(config.words_per_case)]
-        verdicts = _apply_corruption(
-            _engine_verdicts(g, words, config.naive_budget), corrupt_engine
-        )
+        words = [random_word(rng, sigma, config.max_word_len) for _ in range(WORDS_PER_CASE)]
+        verdicts = _engine_verdicts(g, words)
         report.cases_run += 1
         bad = _first_divergence(verdicts, words)
         if bad is not None:
-            g2, w2 = _shrink(g, bad, config, corrupt_engine)
-            verdicts2 = _apply_corruption(
-                _engine_verdicts(g2, [w2], config.naive_budget), corrupt_engine
-            )
+            g2, w2 = _shrink(g, bad)
+            verdicts2 = _engine_verdicts(g2, [w2])
             report.divergence = Divergence(
                 case_index=index,
                 grammar_text=render_grammar_text(g2),
                 word=w2,
-                verdicts=tuple((name, verdicts2[name][w2]) for name in ENGINE_NAMES),
+                verdicts=tuple((name, v[w2]) for name, v in verdicts2.items()),
             )
             return report
     return report
 
 
-def _apply_corruption(
-    verdicts: dict[str, dict[str, str]], corrupt_engine: str | None
-) -> dict[str, dict[str, str]]:
-    if corrupt_engine is None:
-        return verdicts
-    flipped = dict(verdicts)
-    flipped[corrupt_engine] = {
-        w: ("reject" if v == "accept" else "accept") if len(w) % 2 == 1 else v
-        for w, v in verdicts[corrupt_engine].items()
-    }
-    return flipped
-
-
-def _diverges(g: Grammar, word: str, config: FuzzConfig, corrupt_engine: str | None) -> bool:
+def _diverges(g: Grammar, word: str) -> bool:
     if not check_well_formed(g).well_formed:
         return False
-    verdicts = _apply_corruption(_engine_verdicts(g, [word], config.naive_budget), corrupt_engine)
-    return _first_divergence(verdicts, [word]) is not None
+    return _first_divergence(_engine_verdicts(g, [word]), [word]) is not None
 
 
-def _shrink(
-    g: Grammar, word: str, config: FuzzConfig, corrupt_engine: str | None
-) -> tuple[Grammar, str]:
+def _shrink(g: Grammar, word: str) -> tuple[Grammar, str]:
     """Greedy shrink: drop word letters, then simplify rule bodies to empty."""
     changed = True
     while changed:
         changed = False
         for i in range(len(word)):
             cand = word[:i] + word[i + 1 :]
-            if _diverges(g, cand, config, corrupt_engine):
+            if _diverges(g, cand):
                 word = cand
                 changed = True
                 break
@@ -280,7 +232,7 @@ def _shrink(
                 continue
             rules = [(n, Empty() if n == name else g.rules[n]) for n in g.nonterminals]
             cand = Grammar.build(rules, axiom=g.axiom, alphabet=g.alphabet)
-            if _diverges(cand, word, config, corrupt_engine):
+            if _diverges(cand, word):
                 g = cand
                 changed = True
                 break

@@ -120,6 +120,20 @@ class Machine:
                     return f"pop at {key!r} moves {direction}"
                 if key[2] == bottom:
                     return "bottom marker must be popped down"
+        # Extraction reads a run as started on cell 1 in the initial state,
+        # so the one left-marker row must push a symbol that every cell pops.
+        skip = self.delta.get((self.initial_state, LEFT_MARK, bottom))
+        back = Move(self.initial_state, (), DOWN)
+        if (
+            skip is None
+            or len(skip.push) != 1
+            or skip.direction != RIGHT
+            or any(
+                self.delta.get((skip.state, a, skip.push[0])) != back
+                for a in self.input_alphabet + (RIGHT_MARK,)
+            )
+        ):
+            return "the initial move is not a skip of the left end marker"
         return None
 
 
@@ -179,6 +193,14 @@ class CodedDelta(dict):
         """The letter codes of ``< word >``, one per head position."""
         left = self.foreign - 2
         return [left, *map(self._letter_code.get, word, repeat(self.foreign)), left + 1]
+
+    def letter_code(self, word: str, head: int) -> int:
+        """The code of cell ``head`` of ``< word >``: ``code_word(word)[head]``."""
+        if head == 0:
+            return self.foreign - 2
+        if head > len(word):
+            return self.foreign - 1
+        return self._letter_code.get(word[head - 1], self.foreign)
 
     def surface(self, state: str, symbol: str, head: int) -> int:
         return self.state_code[state] + self.symbol_code[symbol] + head * self.key_space
@@ -511,18 +533,19 @@ def default_step_limit(m: Machine, word: str) -> int:
     return 1000 * (len(word) + 2) * len(m.states) * len(m.stack_alphabet)
 
 
-def _verdict(m: Machine, word: str, steps: int, final: Configuration) -> DirectRun:
-    """The outcome of a run that halted in ``final`` after ``steps`` moves."""
-    at_end = final.state in m.finals and final.head == len(word) + 1
-    if not final.stack:
+def halt_reason(m: Machine, word: str, state: str, head: int, emptied: bool) -> str | None:
+    """Why a run that halted in ``state`` at ``head`` rejects; None when it accepts.
+
+    ``emptied`` says whether the halting move popped the last stack entry.
+    A run accepts when it empties the stack in a final state with the head
+    on the right end marker.  The direct and cook engines both end here.
+    """
+    at_end = state in m.finals and head == len(word) + 1
+    if emptied:
         if at_end:
-            return DirectRun(ACCEPT, None, steps, final)
-        if final.state not in m.finals:
-            return DirectRun(REJECT, "non-final-halt", steps, final)
-        return DirectRun(REJECT, "not-at-right-end", steps, final)
-    if at_end:
-        return DirectRun(REJECT, "stack-not-empty", steps, final)
-    return DirectRun(REJECT, "no-transition", steps, final)
+            return None
+        return "non-final-halt" if state not in m.finals else "not-at-right-end"
+    return "stack-not-empty" if at_end else "no-transition"
 
 
 def run_direct(
@@ -533,9 +556,9 @@ def run_direct(
 ) -> DirectRun:
     """Iterate the move relation from the initial configuration.
 
-    Accepts when the run halts with an empty stack in a final state with
-    the head on the right end marker; any other halt rejects, with the
-    reason recorded.  ``budget`` is returned after ``step_limit`` moves.
+    When no move applies, :func:`halt_reason` gives the verdict: accept,
+    or reject with the reason recorded.  ``budget`` is returned after
+    ``step_limit`` moves (default :func:`default_step_limit`).
 
     After each move, ``on_event`` (when given) is called with the move's
     kind (``"push"`` or ``"pop"``), the new state's name, the new head
@@ -574,4 +597,6 @@ def run_direct(
                 len(symbols),
                 None if push else origin,
             )
-    return _verdict(m, word, steps, delta.configuration(state, symbols, origins, head))
+    final = delta.configuration(state, symbols, origins, head)
+    reason = halt_reason(m, word, final.state, head, not symbols)
+    return DirectRun(REJECT if reason else ACCEPT, reason, steps, final)

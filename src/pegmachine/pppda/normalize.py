@@ -74,9 +74,15 @@ _SKIP_SYM = "nz:skip-sym"
 
 
 def normalize(m: Machine) -> Machine:
-    """Rewrite a one-way machine into the five-property normal form."""
+    """Rewrite a one-way machine into the five-property normal form.
+
+    A machine already in normal form (:func:`check_normal` passes) is
+    returned as it is.
+    """
     if m.two_way:
         raise NotNormalError("normalize supports one-way machines only")
+    if m.normal_form_defect is None:
+        return m
     m = _stage_pops_pushes_bottom(m)
     m = _stage_leave_left_mark(m)
     check_normal(m)

@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIG2_TEXT, child_env, dfa_pairs, dpda_anbn, dpda_cmd, dpda_single
-from pegmachine import cli
+from pegmachine import cli, engines
 from pegmachine.closures import render_dfa_text, render_dpda_text
 from pegmachine.pppda import builtin_anbncn, builtin_loop, builtin_sweep, render_machine_text
 
@@ -70,6 +71,34 @@ def test_run_all_engines_agree(fig2_file):
     for engine in ("naive", "packrat", "direct", "cook"):
         assert run_cli("run", fig2_file, "aab", "--engine", engine).returncode == 0
         assert run_cli("run", fig2_file, "abbc", "--engine", engine).returncode == 1
+
+
+def test_stats_print_each_engines_counters(fig2_file, capsys):
+    for engine in ("naive", "packrat", "direct", "cook"):
+        assert cli.main(["run", fig2_file, "aab", "--engine", engine, "--stats"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "accept"
+        if engine == "naive":  # the naive engine counts nothing
+            assert lines == ["accept"]
+            continue
+        assert lines[1] == "---" and len(lines) > 2
+        for line in lines[2:]:
+            assert re.fullmatch(rf"{engine}\.[a-z_]+=\d+", line), line
+
+
+def test_run_reaches_the_engine_by_its_module_global_name(fig2_file, monkeypatch, capsys):
+    """A replaced ``pegmachine.engines.run_linear`` decides ``run --engine cook``."""
+    real = engines.run_linear
+    words = []
+
+    def flipped(m, word):
+        words.append(word)
+        return real(m, word)._replace(outcome="reject")
+
+    monkeypatch.setattr(engines, "run_linear", flipped)
+    assert cli.main(["run", fig2_file, "aab", "--engine", "cook"]) == 1
+    assert capsys.readouterr().out == "reject\n"
+    assert words == ["aab"]
 
 
 def test_empty_word_against_empty_rule(tmp_path):
@@ -270,6 +299,16 @@ def _reg_closure_spec(tmp_path):
     ):
         (tmp_path / name).write_text(text)
     return tmp_path / "spec.txt"
+
+
+def test_spec_refuses_a_binding_for_a_label_the_dfa_lacks(tmp_path, capsys):
+    spec = _reg_closure_spec(tmp_path)
+    spec.write_text(spec.read_text() + "@bind l9 cmd.dpda\n")
+    out = tmp_path / "rc.mach"
+    assert cli.main(["compose", "reg-closure", str(spec), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {spec}: label 'l9' is bound but the DFA has no such label\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("op", ["complement", "reg-closure"])

@@ -3,7 +3,9 @@
 Each construction is checked against an oracle that shares no code with
 it: :func:`brute_force_membership` (a forward pass of ``dpda_run`` over
 block splits) for the regular closure, and ``dpda_run`` or that oracle on
-every prefix times packrat on the suffix for left concatenation.
+every prefix times packrat on the suffix for left concatenation.  The
+Boolean combinators are checked on grammars extracted from regular
+closures, against the same combination of the oracle's verdicts.
 """
 
 import random
@@ -19,6 +21,9 @@ from pegmachine.closures import (
     brute_force_membership,
     dpda_run,
     left_concat_dcfl,
+    pel_complement,
+    pel_intersection,
+    pel_union,
     reg_closure_machine,
 )
 from pegmachine.cooksim import run_linear
@@ -151,3 +156,39 @@ def test_reg_closure_extracts_to_an_agreeing_grammar(seed):
     cache: dict = {}
     for word in SHORT_WORDS:
         assert accepts(g, word) == brute_force_membership(spec, word, cache), word
+
+
+BOOLEAN_WORDS = list(all_words(SIGMA, 4))
+BOOLEAN_OPERANDS = 12
+
+
+@pytest.fixture(scope="module")
+def extracted_operands() -> list[tuple]:
+    """(grammar, language on ``BOOLEAN_WORDS``) for the first specs whose language there is mixed.
+
+    Each grammar is extracted from the normalized regular-closure machine;
+    the language is the oracle's.  Empty and full languages would make
+    most combinations trivial, so those specs are passed over.
+    """
+    operands = []
+    seed = 0
+    while len(operands) < BOOLEAN_OPERANDS:
+        spec, cache = random_spec(random.Random(seed)), {}
+        seed += 1
+        lang = frozenset(w for w in BOOLEAN_WORDS if brute_force_membership(spec, w, cache))
+        if 0 < len(lang) < len(BOOLEAN_WORDS):
+            operands.append((dppda_to_peg(normalize(reg_closure_machine(spec))), lang))
+    return operands
+
+
+@pytest.mark.parametrize("index", range(BOOLEAN_OPERANDS))
+def test_boolean_combinations_of_extracted_grammars(index, extracted_operands):
+    """Complement, and union and intersection with every operand, in both orders."""
+    g, lang = extracted_operands[index]
+    combos = [(pel_complement(g), frozenset(BOOLEAN_WORDS) - lang)]
+    for h, other in extracted_operands:
+        combos.append((pel_union(g, h), lang | other))
+        combos.append((pel_intersection(g, h), lang & other))
+    for combo, want in combos:
+        for word in BOOLEAN_WORDS:
+            assert accepts(combo, word) == (word in want), word

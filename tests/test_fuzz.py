@@ -1,5 +1,6 @@
 import random
 
+from pegmachine import engines
 from pegmachine.fuzz import (
     FuzzConfig,
     random_cnf_grammar,
@@ -37,8 +38,19 @@ def test_clean_run_has_no_divergence():
     assert report.ok
 
 
-def test_corrupted_engine_is_caught_and_shrunk():
-    report = run_fuzz(FuzzConfig(seed=7, cases=40), corrupt_engine="cook")
+def test_corrupted_engine_is_caught_and_shrunk(monkeypatch):
+    # Every engine is reached through pegmachine.engines.recognize, so a
+    # fault put there shows in the fuzzer's cook column.
+    real = engines.run_linear
+
+    def corrupted(m, word):
+        run = real(m, word)
+        if len(word) % 2 == 1:
+            return run._replace(outcome="reject" if run.outcome == "accept" else "accept")
+        return run
+
+    monkeypatch.setattr(engines, "run_linear", corrupted)
+    report = run_fuzz(FuzzConfig(seed=7, cases=40))
     assert not report.ok
     div = report.divergence
     verdicts = dict(div.verdicts)

@@ -96,7 +96,7 @@ GRAMMAR_DIGESTS = {
 
 BUILTIN_DIGESTS = {
     "anbncn": "a11fcd4ce7b340d7251fba25d1e3b0799a4a7a01d7e01f54f6bcf7ed36ccbbea",
-    "loop": "c1d5c170025fdcc3b76c8418248aeca3fbe6222ca4b87b52711e0b81ef8bb02e",
+    "loop": "99352b5fea9257f7b2be3b40ae656618fdedaf8f7d513a18954f849c54d7914a",  # builtin_loop is already normal
     "sweep": "788952e039a4ba8e7474b166eb3c3f5b04cdbad0b981bba826d3933693922a1d",
 }
 

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from pegmachine.cooksim import run_linear, work_bound
+from pegmachine.errors import MachineInvariantError
 from pegmachine.pppda import (
     DOWN,
     HAT_DOWN,
@@ -310,3 +311,74 @@ def test_normalize_preserves_language_on_random_machines(seed):
         else:
             got = run_direct(norm, word, step_limit=200_000).outcome
             assert got == want_run.outcome, (word, want_run.outcome, got)
+
+
+def normal_mutant(rng: random.Random, m: Machine) -> Machine | None:
+    """``m`` with one to three rows dropped, replaced or added; None if invalid.
+
+    New moves have the shapes the normal form allows: one-symbol pushes
+    and pops moving ``down`` or ``up``.  So a mutant often still passes
+    :func:`check_normal` while its language changes.
+    """
+    delta = dict(m.delta)
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.3:
+            del delta[rng.choice(list(delta))]
+            continue
+        if roll < 0.6:
+            q, a, z = rng.choice(list(delta))
+        else:
+            q, a = rng.choice(m.states), rng.choice(SIGMA + RIGHT_MARK)
+            z = rng.choice(m.stack_alphabet)
+        target = rng.choice(m.states)
+        if rng.random() < 0.5:
+            delta[(q, a, z)] = Move(target, (), rng.choice([DOWN, UP]))
+        else:
+            direction = rng.choice([DOWN] + [RIGHT] * (a != RIGHT_MARK))
+            delta[(q, a, z)] = Move(target, (rng.choice(m.stack_alphabet),), direction)
+    try:
+        return Machine(
+            m.states, m.input_alphabet, m.stack_alphabet, m.finals, m.initial_state, m.bottom, delta
+        )
+    except MachineInvariantError:
+        return None
+
+
+def direct_accepts(m: Machine, word: str) -> bool:
+    """The direct engine's verdict; cook's loop detection settles runs over budget."""
+    run = run_direct(m, word, step_limit=20_000)
+    if run.outcome == "budget":
+        if run_linear(m, word).reason == "loop":
+            return False
+        run = run_direct(m, word, step_limit=2_000_000)
+    assert run.outcome != "budget", word
+    return run.outcome == "accept"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_machines_check_normal_accepts_extract_faithfully(seed):
+    """``normalize`` keeps a normal machine, and every normal machine extracts.
+
+    The machines are normalized random machines and their mutants; each
+    one that :func:`check_normal` accepts must extract to a grammar that
+    agrees with the direct engine on every short word.
+    """
+    from pegmachine.peg import Consumed, LeftRecursionError, desugar, interpret_packrat
+    from pegmachine.translate import dppda_to_peg
+
+    rng = random.Random(5000 + seed)
+    norm = normalize((random_machine if seed % 2 else random_sweep_machine)(rng))
+    assert normalize(norm) is norm
+    for m in [norm] + [normal_mutant(rng, norm) for _ in range(6)]:
+        if m is None or m.normal_form_defect is not None:
+            continue
+        assert normalize(m) is m
+        g = desugar(dppda_to_peg(m))
+        for word in all_words(SIGMA, 4):
+            try:
+                got = interpret_packrat(g, word) == Consumed(len(word))
+            except LeftRecursionError:  # mirrors a loop of the machine
+                assert run_linear(m, word).reason == "loop", word
+                continue
+            assert got == direct_accepts(m, word), word

@@ -21,6 +21,9 @@ from pegmachine.pppda import (
     run_direct,
 )
 
+from pegmachine.peg import accepts, desugar
+from pegmachine.translate import dppda_to_peg, grammar_to_machine
+
 from conftest import all_words
 from test_builtin_anbncn import independent_oracle
 
@@ -276,3 +279,43 @@ def test_normalized_machine_start_convention():
             c = nxt
         got = "accept" if (not c.stack and c.state in finals and c.head == len(word) + 1) else "reject"
         assert got == want, (word, got, want)
+
+
+def fig2_without_skip(fig2) -> Machine:
+    """Compiled fig2 with no initial skip, but normal in every other respect.
+
+    Every left-marker row but the initial one is dropped, and each
+    two-symbol push is split through a fresh state.  The initial row then
+    pushes the axiom symbol, so the run does not restart on cell 1 in the
+    initial state, as extraction assumes.
+    """
+    m = grammar_to_machine(fig2)
+    mb = MachineBuilder.like(m)
+    for (q, a, z), mv in m.delta.items():
+        if a == LEFT_MARK and (q, z) != (m.initial_state, m.bottom):
+            continue
+        if len(mv.push) == 2:
+            top, deep = mv.push
+            mid = mb.states.fresh(f"split:{q}:{a}:{z}")
+            mb.emit(q, a, z, Move(mid, (deep,), mv.direction))
+            mb.emit_any(mid, deep, Move(mv.state, (top,), DOWN))
+        else:
+            mb.emit(q, a, z, mv)
+    return mb.build()
+
+
+def test_check_normal_requires_the_initial_skip(fig2):
+    m = fig2_without_skip(fig2)
+    assert m.normal_form_defect == "the initial move is not a skip of the left end marker"
+    with pytest.raises(NotNormalError, match="not a skip of the left end marker"):
+        dppda_to_peg(m)
+    norm = normalize(m)
+    assert normalize(norm) is norm
+    g = desugar(dppda_to_peg(norm))
+    accepted = 0
+    for word in all_words("abc", 6):
+        want = accepts(fig2, word)
+        accepted += want
+        assert run_direct(m, word).outcome == ("accept" if want else "reject"), word
+        assert accepts(g, word) == want, word
+    assert accepted == 11
