@@ -28,7 +28,7 @@ from .closures import (
     pel_union,
     reg_closure_machine,
 )
-from .cooksim import run_linear, work_bound
+from .cooksim import work_bound
 from .engines import GRAMMAR_ENGINES, recognize
 from .errors import MachineTextError, ToolkitError
 from .fuzz import ALPHABET as FUZZ_ALPHABET
@@ -37,7 +37,7 @@ from .peg.ast import Grammar, render_grammar_text
 from .peg.parser import parse_grammar_text
 from .peg.transform import desugar, to_cnf
 from .peg.wellformed import check_well_formed
-from .pppda.machine import Machine, run_direct
+from .pppda.machine import Machine
 from .pppda.normalize import normalize
 from .pppda.text import KEYED, REQUIRED, parse_machine_text, read_header, render_machine_text
 from .translate import dppda_to_peg, grammar_to_machine
@@ -88,9 +88,9 @@ def _load_any(path: str, parse=None):
 def _load_spec(base: Path, text: str) -> CompositionSpec:
     """A composition spec, naming files relative to ``base``; ``#`` lines are comments."""
     head, body = read_header(text, {"@dfa": REQUIRED, "@bind": KEYED})
-    for lineno, toks in body:
-        if toks[0][0] != "#":
-            raise MachineTextError(f"bad spec line {' '.join(toks)!r}", lineno)
+    for lineno, line in body:
+        if line.lstrip()[0] != "#":
+            raise MachineTextError(f"bad spec line {' '.join(line.split())!r}", lineno)
     dfa = _load_any(str(base / head["@dfa"]), parse_dfa_text)
     bindings = {label: _load_any(str(base / file), parse_dpda_text)
                 for label, file in head["@bind"].items()}
@@ -246,13 +246,13 @@ def cmd_bench(args) -> int:
     print("n\tcook.ops\tdirect.steps")
     for n in args.sizes:
         word = "".join(ch * n for ch in blocks)
-        lin = run_linear(m, word)
-        direct = run_direct(m, word, step_limit=_step_limit(args))
-        rows.append((n, lin.ops, direct.steps))
-        print(f"{n}\t{lin.ops}\t{direct.steps}")
+        ops = recognize("cook", m, word).counters["ops"]
+        steps = recognize("direct", m, word, _step_limit(args)).counters["steps"]
+        rows.append((n, ops, steps))
+        print(f"{n}\t{ops}\t{steps}")
         bound = work_bound(m, len(word))
-        if lin.ops > bound:
-            print(f"work bound exceeded at n={n}: {lin.ops} > {bound}")
+        if ops > bound:
+            print(f"work bound exceeded at n={n}: {ops} > {bound}")
             return EXIT_DIVERGENCE
     if args.assert_linear:
         by_n = {n: ops for n, ops, _ in rows}

@@ -118,7 +118,8 @@ def parse_dfa_text(text: str) -> LabeledDfa:
     The header follows the rules shared by every automaton format (see
     :mod:`pegmachine.pppda.text`).
     """
-    head, body = read_header(text, DFA_HEADER)
+    head, lines = read_header(text, DFA_HEADER)
+    body = [(lineno, line.split()) for lineno, line in lines]
     for lineno, toks in body:
         if len(toks) != 4 or toks[2] != "->":
             raise MachineTextError("transition must be: state label -> state", lineno)

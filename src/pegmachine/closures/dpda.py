@@ -118,7 +118,8 @@ def parse_dpda_text(text: str) -> Dpda:
     ``eps``; the push string replaces the inspected symbol, ``-`` for
     nothing, comma separation for multi-character symbol names.
     """
-    head, body = read_header(text, DPDA_HEADER)
+    head, lines = read_header(text, DPDA_HEADER)
+    body = [(lineno, line.split()) for lineno, line in lines]
     initial, bottom, finals = head["@initial"], head["@bottom"], head["@final"]
     alphabet = dict.fromkeys(head["@alphabet"])
     states = Names("state name", head["@states"])

@@ -185,7 +185,7 @@ def suspend_resume_machine(
 
     # The grammar machine's rules, except those on its own bottom: the
     # continuation symbols play that role here.
-    for (q, a, z), mv in y.delta.items():
+    for (q, a, z), mv in y.delta.stored.items():
         if z != y.bottom:
             emit(q, a, z, mv)
 

@@ -9,6 +9,8 @@ Hat directions (``hatleft``/``hatdown``/``hatright``) are input sugar for
 a push/pop pair that changes state and moves the head without touching the
 stack: :meth:`MachineBuilder.emit` and the ``.mach`` reader expand them, and
 a :class:`Machine` holds only the four core directions.
+Most of the paper's rules read "for every a ∈ Σ ∪ {⊣}"; δ stores each such
+move once (:class:`Delta`).
 
 A run starts in ``(initial, bottom at origin 0, head 0)`` and accepts when
 the final pop empties the stack in a final state with the head on the
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..errors import MachineInvariantError
 from ..peg.ast import is_letter
@@ -41,8 +43,11 @@ CORE_DIRECTIONS = (LEFT, DOWN, UP, RIGHT)
 HAT_DIRECTIONS = (HAT_LEFT, HAT_DOWN, HAT_RIGHT)
 _HAT_CORE = {HAT_LEFT: LEFT, HAT_DOWN: DOWN, HAT_RIGHT: RIGHT}
 _DIRECTIONS = frozenset(CORE_DIRECTIONS)
+# The letter slot of a stored move on every input letter and the right end
+# marker; never a letter, since a letter is one character.
+ANY = "any"
 # (letter, direction) pairs that would move the head off the tape.
-_OFF_THE_ENDS = frozenset([(LEFT_MARK, LEFT), (RIGHT_MARK, RIGHT)])
+_OFF_THE_ENDS = frozenset([(LEFT_MARK, LEFT), (RIGHT_MARK, RIGHT), (ANY, RIGHT)])
 # Columns of δ's keys (state, letter, top symbol) and of its moves.
 _state_of, _letter_of, _top_of = itemgetter(0), itemgetter(1), itemgetter(2)
 _direction_of = itemgetter(2)
@@ -65,8 +70,66 @@ class Move(NamedTuple):
 DeltaKey = tuple[str, str, str]  # (state, letter or end marker, top symbol)
 
 
+class Delta(Mapping[DeltaKey, Move]):
+    """δ as a read-only mapping from (state, letter, top symbol) to :class:`Move`.
+
+    :attr:`stored` holds the transitions in emission order, one entry per
+    move, except that a move on every input letter and on the right end
+    marker is one entry under the letter slot :data:`ANY`.  The mapping
+    answers the expanded keys: lookups, ``len`` (the rows the ``.mach``
+    writer writes) and iteration, which expands an :data:`ANY` entry where
+    it stands over the input letters and then ``>``.  Code that walks δ
+    reads :attr:`stored`.  A key under :data:`ANY` must not share its state
+    and symbol with a row on a letter it covers: :class:`MachineBuilder`
+    and the ``.mach`` reader keep that, and :func:`validate_machine` does
+    not look for it.
+    """
+
+    __slots__ = ("stored", "every")
+
+    def __init__(self, stored: Mapping[DeltaKey, Move], input_alphabet: tuple[str, ...]):
+        self.stored = stored
+        self.every = (*input_alphabet, RIGHT_MARK)  # the letters an ANY entry covers
+
+    def get(self, key, default=None):
+        mv = self.stored.get(key)
+        if mv is None and key[1] in self.every:
+            mv = self.stored.get((key[0], ANY, key[2]))
+        return default if mv is None else mv
+
+    def __getitem__(self, key: DeltaKey) -> Move:
+        mv = self.get(key)
+        if mv is None:
+            raise KeyError(key)
+        return mv
+
+    def __len__(self) -> int:
+        anys = list(map(_letter_of, self.stored)).count(ANY)
+        return len(self.stored) + anys * (len(self.every) - 1)
+
+    def __iter__(self) -> Iterator[DeltaKey]:
+        for key in self.stored:
+            if key[1] == ANY:
+                q, _, z = key
+                for a in self.every:
+                    yield q, a, z
+            else:
+                yield key
+
+
+def _first_row(key: DeltaKey, input_alphabet: tuple[str, ...]) -> DeltaKey:
+    """The first row that the stored ``key`` stands for, as errors name it."""
+    return (key[0], (*input_alphabet, RIGHT_MARK)[0], key[2]) if key[1] == ANY else key
+
+
 @dataclass(frozen=True)
 class Machine:
+    """A pointer machine; δ is a :class:`Delta` over the transitions given.
+
+    ``delta`` may be any mapping of rows, or a builder's or another
+    machine's stored entries (see :class:`MachineBuilder`).
+    """
+
     states: tuple[str, ...]
     input_alphabet: tuple[str, ...]
     stack_alphabet: tuple[str, ...]
@@ -78,6 +141,8 @@ class Machine:
     meta: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        stored = getattr(self.delta, "stored", self.delta)
+        object.__setattr__(self, "delta", Delta(stored, self.input_alphabet))
         validate_machine(self)
 
     @property
@@ -106,18 +171,20 @@ class Machine:
         """
         if self.two_way:
             return "machine is two-way"
-        if sum(1 for k in self.delta if k[1] == LEFT_MARK) > 1:
+        stored = self.delta.stored
+        if list(map(_letter_of, stored)).count(LEFT_MARK) > 1:
             return "left end marker is consulted beyond the initial skip"
         bottom = self.bottom
-        for key, (_, push, direction) in self.delta.items():
+        for key, (_, push, direction) in stored.items():
             if push:
                 if len(push) > 1:
+                    key = _first_row(key, self.input_alphabet)
                     return f"push at {key!r} adds {len(push)} symbols"
                 if bottom in push:
                     return "bottom marker occurs in a push string"
             elif direction != DOWN:
                 if direction != UP:
-                    return f"pop at {key!r} moves {direction}"
+                    return f"pop at {_first_row(key, self.input_alphabet)!r} moves {direction}"
                 if key[2] == bottom:
                     return "bottom marker must be popped down"
         # Extraction reads a run as started on cell 1 in the initial state,
@@ -153,13 +220,15 @@ class CodedDelta(dict):
     a missing transition as ``None``.
 
     Entries are coded on first use by :meth:`__missing__`, so a run pays
-    for the transitions it reaches rather than for |δ|.  Read entries by
-    subscript: ``get`` would skip the coding.
+    for the transitions it reaches rather than for |δ|.  Each key is coded
+    from :attr:`Delta.stored`: its row, or else the :data:`ANY` entry of its
+    state and symbol, unless the letter is the left end marker.  Read
+    entries by subscript: ``get`` would skip the coding.
     """
 
     def __init__(self, m: Machine):
         super().__init__()
-        self._delta = m.delta
+        self._stored = m.delta.stored
         self._states = m.states
         self._symbols = m.stack_alphabet
         self._letters = m.letters
@@ -176,7 +245,10 @@ class CodedDelta(dict):
         q, z = divmod(rest, len(self._symbols))
         mv = None
         if a != self.foreign:
-            mv = self._delta.get((self._states[q], self._letters[a], self._symbols[z]))
+            q, z = self._states[q], self._symbols[z]
+            mv = self._stored.get((q, self._letters[a], z))
+            if mv is None and a != self.foreign - 2:  # not the left end marker
+                mv = self._stored.get((q, ANY, z))
         if mv is not None:
             target, push, direction = mv
             code = self.symbol_code
@@ -229,11 +301,11 @@ class CodedDelta(dict):
 def validate_machine(m: Machine) -> None:
     """Raise :class:`MachineInvariantError` unless ``m`` is a well-formed machine.
 
-    δ is checked in aggregate first: the states, letters, symbols and
-    directions it uses against the declared ones, and the directions of
-    its pushing moves and of its moves on each end marker against the
-    rules that bind them.  Only when one of those checks fails is δ walked
-    transition by transition, so the error names the first offender.
+    δ's stored entries are checked in aggregate first: the states, letters,
+    symbols and directions they use against the declared ones, and the
+    directions of pushing moves and of moves on each end marker against
+    the rules that bind them.  Only when one of those checks fails is δ
+    walked row by row, expanded, so the error names the first offender.
     """
     states = set(m.states)
     if len(states) != len(m.states):
@@ -253,14 +325,14 @@ def validate_machine(m: Machine) -> None:
         raise MachineInvariantError("duplicate final state")
     if m.bottom not in gamma:
         raise MachineInvariantError(f"bottom symbol {m.bottom!r} not in stack alphabet")
-    delta = m.delta
+    delta = m.delta.stored
     moves = set(delta.values())
     reads = set(zip(map(_letter_of, delta), map(_direction_of, delta.values())))
     directions = {d for _, d in reads}
     if (
         states.issuperset(map(_state_of, delta))
         and states.issuperset(mv.state for mv in moves)
-        and (sigma | {LEFT_MARK, RIGHT_MARK}).issuperset(a for a, _ in reads)
+        and (sigma | {LEFT_MARK, RIGHT_MARK, ANY}).issuperset(a for a, _ in reads)
         and gamma.issuperset(map(_top_of, delta))
         and gamma.issuperset(chain.from_iterable(mv.push for mv in moves))
         and _DIRECTIONS.issuperset(directions)
@@ -305,11 +377,13 @@ class Names(dict):
         """Register a new name; one already present is an error."""
         if name in self:
             raise MachineInvariantError(f"duplicate {self.kind}")
-        self[name] = None
+        self[name] = name
         return name
 
-    # ``note(name)`` registers ``name`` unless it is already present.  It is
-    # the C method itself: readers and builders call it once per transition.
+    # ``note(name)`` registers ``name`` unless it is already present, and
+    # ``note(name, name)`` also returns the one string object registered for
+    # it (``add`` maps a name to itself).  It is the C method itself:
+    # readers and builders call it once per transition.
     note = dict.setdefault
 
     def fresh(self, base: str) -> str:
@@ -328,7 +402,9 @@ class MachineBuilder:
     generate rules from several loops cannot silently overwrite each other.
     A hat move is expanded as it is emitted (see :meth:`_hat`): code that
     builds a machine writes its hat rows here, since a :class:`Machine`
-    refuses them.
+    refuses them.  :attr:`delta` holds the entries that :class:`Delta`
+    stores: one per :meth:`emit_any`, unless a row on one of its letters
+    came first.
     """
 
     def __init__(
@@ -351,6 +427,7 @@ class MachineBuilder:
         self.states = Names("state name", states)
         self.stack_alphabet = Names("stack symbol", stack_alphabet)
         self.delta: dict[DeltaKey, Move] = {}
+        self._lettered: set[tuple[str, str]] = set()  # (state, symbol) of each letter row
         self._hats: dict[tuple[str, str], Move] = {}  # (target, direction) -> expansion
 
     @classmethod
@@ -362,25 +439,40 @@ class MachineBuilder:
         )
 
     def emit(self, q: str, a: str, z: str, move: Move) -> None:
+        """Set δ(q, a, z) to ``move``; ``a`` may be :data:`ANY` (see :meth:`emit_any`)."""
         key = (q, a, z)
         if move[2] in _HAT_CORE:
             if move.push:
-                raise MachineInvariantError("hat moves carry no push string", key)
+                raise MachineInvariantError(
+                    "hat moves carry no push string", _first_row(key, self.input_alphabet))
             move = self._hat(move.state, move.direction)
-        prev = self.delta.setdefault(key, move)
+        delta = self.delta
+        prev = delta.get(key)
+        if prev is None:
+            if a == ANY:
+                if (q, z) in self._lettered:  # keep the rows already emitted
+                    for a in (*self.input_alphabet, RIGHT_MARK):
+                        self.emit(q, a, z, move)
+                    return
+            elif a != LEFT_MARK:
+                prev = delta.get((q, ANY, z))
+                self._lettered.add((q, z))
+            if prev is None:
+                delta[key] = move
+                return
         if prev is not move and prev != move:
+            key = _first_row(key, self.input_alphabet)
             raise MachineInvariantError(f"conflicting moves for delta{key!r}: {prev} and {move}")
 
     def emit_any(self, q: str, z: str, move: Move) -> None:
         """Emit ``move`` on every input letter and on the right end marker.
 
-        The paper's "for every a in Σ ∪ {⊣}" rules.  The left end marker is
-        not included: a row that also acts there emits it separately.
+        The paper's "for every a in Σ ∪ {⊣}" rules, stored as one entry
+        under :data:`ANY`.  The left end marker is not included: a row that
+        also acts there emits it separately.  A letter row emitted before
+        or after must agree with ``move``, as if each letter were emitted.
         """
-        emit = self.emit
-        for a in self.input_alphabet:
-            emit(q, a, z, move)
-        emit(q, RIGHT_MARK, z, move)
+        self.emit(q, ANY, z, move)
 
     def _hat(self, target: str, direction: str) -> Move:
         """The push that expands a hat move to ``target`` in ``direction``.
@@ -436,10 +528,7 @@ class MachineBuilder:
             for z in below:
                 self.emit_any(replace, z, Move(target, push, DOWN))
             move = Move(replace, (), step)
-        if letter:
-            self.emit(src, letter, top, move)
-        else:
-            self.emit_any(src, top, move)
+        self.emit(src, letter or ANY, top, move)
 
     def build(self) -> Machine:
         return Machine(

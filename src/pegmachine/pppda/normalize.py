@@ -19,9 +19,10 @@ The rewritten machine behaves identically whether started on the left end
 marker or directly on the first input cell with the bottom origin set to
 1, which is the convention the machine-to-grammar extraction relies on.
 
-``normalize`` makes two passes over δ, each into one builder whose
-machine is validated: the first establishes properties 1-3, the second
-properties 4 and 5.  Fresh names are registered in this order:
+``normalize`` makes two passes over δ's stored entries, each into one
+builder whose machine is validated: the first establishes properties 1-3,
+the second properties 4 and 5.  A move on every letter and ``>`` is
+rewritten once.  Fresh names are registered in this order:
 
 - ``nr1:``/``nr2:`` states and ``nr:`` symbols, per pop moving right, in
   δ order;
@@ -105,13 +106,13 @@ def _stage_pops_pushes_bottom(m: Machine) -> Machine:
     mb = MachineBuilder.like(m)
     emit, emit_any = mb.emit, mb.emit_any
     pushes: list[tuple[str, str, str, Move]] = []  # set aside to keep the name order
-    for (q, a, z), mv in m.delta.items():
+    for (q, a, z), mv in m.delta.stored.items():
         target, push, direction = mv
         if len(push) > 1:
             pushes.append((q, a, z, mv))
         elif push or direction != RIGHT:
             emit(q, a, z, mv)
-        else:  # Pop moving right: shuffle one cell right, then pop down there.
+        else:  # Pop moving right (never on ``>``): shuffle one cell right, pop down there.
             sym = mb.stack_alphabet.fresh(f"nr:{q}:{a}:{z}")
             mid1 = mb.states.fresh(f"nr1:{q}:{a}:{z}")
             mid2 = mb.states.fresh(f"nr2:{q}:{a}:{z}")
@@ -178,7 +179,7 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
     begin_states: set[str] = {m.initial_state}
     tagged_syms: set[str] = set()
     entries = [
-        (key, mv) for key, mv in m.delta.items()
+        (key, mv) for key, mv in m.delta.stored.items()
         if key[1] == LEFT_MARK or (not mv.push and mv.direction == UP)
     ]
     changed = True
@@ -223,7 +224,7 @@ def _stage_leave_left_mark(m: Machine) -> Machine:
     emit = mb.emit
     norm = {q: _norm(q) for q in m.states}
     renamed: dict[Move, Move] = {}  # each distinct move, with its target renamed
-    for (q, a, z), mv in m.delta.items():
+    for (q, a, z), mv in m.delta.stored.items():
         if a == LEFT_MARK:
             if q not in begin_states:
                 continue

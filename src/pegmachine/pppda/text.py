@@ -38,18 +38,26 @@ A row that breaks a rule of the model (an ``up`` move that pushes, a move
 off either end marker, a left move in a one-way file) is reported at its
 line, hat rows included.  ``@meta key value`` lines carry tool annotations
 and round-trip unchanged.
+
+The format has one row per (state, letter, symbol).  In memory, the rows
+of a (state, symbol) that give one move on every input letter and ``>``
+are one stored entry (:class:`~pegmachine.pppda.machine.Delta`): the
+reader folds them, and the writer expands them.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Container, Mapping
 
 from ..errors import MachineInvariantError, MachineRowError, MachineTextError
 from ..peg.ast import is_letter
 from .machine import (
+    ANY,
     CORE_DIRECTIONS,
     HAT_DIRECTIONS,
     LEFT_MARK,
+    DeltaKey,
     Machine,
     MachineBuilder,
     Move,
@@ -79,24 +87,24 @@ def quoted_letter(tok: str, lineno: int) -> str:
 
 def read_header(
     text: str, table: Mapping[str, Any]
-) -> tuple[dict[str, Any], list[tuple[int, list[str]]]]:
+) -> tuple[dict[str, Any], list[tuple[int, str]]]:
     """The header arguments of ``text`` by ``table``, and its body rows.
 
     Each directive of ``table`` maps to its argument (None when absent),
     its list (``@alphabet``'s holds letters) or its dict of keys.  A body
-    row is its line number and its whitespace-separated tokens.
+    row is its line number and its line, which the format splits.
     """
     head = {key: [] if shape == LIST else {} if shape == KEYED else None
             for key, shape in table.items()}
-    body: list[tuple[int, list[str]]] = []
+    body: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        first = raw.lstrip()[:1]
+        if first != "@":
+            if first:
+                body.append((lineno, raw))
+            continue
         parts = raw.split()
-        if not parts:
-            continue
         key = parts[0]
-        if key[0] != "@":
-            body.append((lineno, parts))
-            continue
         shape, args = table.get(key), parts[1:]
         if shape == LIST and key == "@alphabet" and len(args) == 1:
             tok = args[0]
@@ -178,91 +186,168 @@ MACHINE_HEADER = {"@twoway": ("yes", "no"), "@states": LIST, "@initial": REQUIRE
                   "@bottom": REQUIRED, "@alphabet": LIST, "@meta": KEYED}
 
 
+_ROW_SHAPE = "transition must be: state letter stacksym -> state pushstring dir"
+
+
 def parse_machine_text(text: str) -> Machine:
-    """Parse and validate a machine description."""
+    """Parse and validate a machine description.
+
+    The rows are read in one pass that keeps one string object per name.
+    A push token is split once every row is read, against the bottom and
+    the symbols on top in any row, so that it reads the same on every
+    line.  The rows of each (state, symbol) that give one move on every
+    input letter and ``>`` are then folded into one entry, where the first
+    of them stood.  An error names the row at fault, the first in the file
+    as if each row were read and checked in turn.
+    """
     head, body = read_header(text, MACHINE_HEADER)
     initial, bottom, finals = head["@initial"], head["@bottom"], head["@final"]
     alphabet = dict.fromkeys(head["@alphabet"])
     mb = MachineBuilder(initial, bottom, finals=finals, two_way=head["@twoway"] == "yes",
                         meta=tuple(head["@meta"].items()), states=head["@states"],
                         stack_alphabet=[bottom])
-    gamma, delta = mb.stack_alphabet, mb.delta
+    gamma = mb.stack_alphabet
     note_state, note_symbol = mb.states.note, gamma.note
-
-    # First pass: collect declared stack symbols so push tokens can be split.
-    # Those are the bottom and every top symbol, as for the writer, so a
-    # push token reads the same on every line.
-    for lineno, toks in body:
-        if len(toks) != 7 or toks[3] != "->":
-            raise MachineTextError(
-                "transition must be: state letter stacksym -> state pushstring dir", lineno
-            )
-        note_symbol(toks[2])
-    declared = set(gamma)
-
-    note_state(initial)
+    note_state(initial, initial)
     for q in finals:
-        note_state(q)
+        note_state(q, q)
+
     letters = {"<": LEFT_MARK, ">": RIGHT_MARK}  # letter tokens already read
-    # One move per distinct (target, push token, direction), built and
-    # checked on its first line and shared by every later line that writes
-    # it; hat moves are expanded after the last row.
-    moves: dict[tuple[str, str, str], Move] = {}
+    # Each distinct (target, push token, direction), keyed by itself; its
+    # push is split and its Move built after the last row.
+    moves: dict[tuple[str, str, str], tuple[str, str, str]] = {}
+    rows: dict[DeltaKey, Any] = {}
     hats = False
-    for lineno, (q, letter_tok, z, _, q2, push_tok, direction) in body:
-        a = letters.get(letter_tok)
-        if a is None:
-            a = letters[letter_tok] = quoted_letter(letter_tok, lineno)
-            alphabet.setdefault(a)
-        move = moves.get((q2, push_tok, direction))
-        if move is None:
-            if direction not in _DIRS:
-                raise MachineTextError(f"bad direction {direction!r}", lineno)
-            push = split_push(push_tok, declared, lineno)
-            hats = hats or direction in HAT_DIRECTIONS
-            for sym in push:
-                note_symbol(sym)
-            move = moves[q2, push_tok, direction] = Move(q2, push, direction)
-        key = (q, a, z)
-        if key in delta:
-            raise MachineTextError(f"duplicate transition for {key!r}", lineno)
-        note_state(q)
-        note_state(q2)
-        delta[key] = move
+    try:
+        for lineno, line in body:
+            toks = line.split()
+            if len(toks) != 7 or toks[3] != "->":
+                raise MachineTextError(_ROW_SHAPE, lineno)
+            q, letter_tok, z, _, q2, push_tok, direction = toks
+            a = letters.get(letter_tok)
+            if a is None:
+                a = letters[letter_tok] = quoted_letter(letter_tok, lineno)
+                alphabet.setdefault(a)
+            q = note_state(q, q)
+            mk = (q2, push_tok, direction)
+            move = moves.get(mk)
+            if move is None:  # its first row: check it, register its target
+                if direction not in _DIRS:
+                    raise MachineTextError(f"bad direction {direction!r}", lineno)
+                if "," in push_tok:
+                    split_push(push_tok, (), lineno)  # a bad one is named here
+                hats = hats or direction in HAT_DIRECTIONS
+                move = moves[mk] = (note_state(q2, q2), push_tok, direction)
+            key = (q, a, note_symbol(z, z))
+            count = len(rows)
+            rows[key] = move
+            if len(rows) == count:
+                raise MachineTextError(f"duplicate transition for {key!r}", lineno)
+    except MachineTextError:
+        # A malformed row anywhere comes first, as when rows were checked
+        # for shape before any was read.
+        for lineno, line in body:
+            toks = line.split()
+            if len(toks) != 7 or toks[3] != "->":
+                raise MachineTextError(_ROW_SHAPE, lineno) from None
+        raise
+
+    # Symbols on top are declared; push-only ones follow them, in row order.
+    declared = set(gamma)
+    for mk, (target, push_tok, direction) in moves.items():
+        moves[mk] = move = Move(target, split_push(push_tok, declared, 0), direction)
+        for sym in move.push:
+            note_symbol(sym, sym)
+
+    def resolved(table: dict) -> dict[DeltaKey, Move]:
+        return dict(zip(table, map(moves.__getitem__, table.values())))
 
     mb.input_alphabet = tuple(alphabet)
+    every = (*alphabet, RIGHT_MARK)
     try:
         if hats:
-            # Re-emit δ in row order, so that each hat is expanded where the
+            # Emit δ in row order, so that each hat is expanded where the
             # first row using it stands, after every name the file gives.
-            mb.delta = {}
-            for key, move in delta.items():
+            for key, move in resolved(rows).items():
                 mb.emit(*key, move)
-        return mb.build()
+            unfolded = mb.delta
+            mb.delta = _fold(unfolded, every)
+        else:
+            mb.delta = resolved(_fold(rows, every))  # fewer entries to resolve
+        try:
+            return mb.build()
+        except MachineInvariantError:
+            mb.delta = unfolded if hats else resolved(rows)  # the rows as read name the first fault
+            return mb.build()
     except MachineInvariantError as exc:
         # A fault of a row, or of its hat's expansion, is named at its line.
-        lines = dict(zip(delta, (lineno for lineno, _ in body)))
+        lines = dict(zip(rows, (lineno for lineno, _ in body)))
         if exc.key not in lines:
             raise
         raise MachineRowError(exc.detail, lines[exc.key]) from None
 
 
+def _fold(rows: dict[DeltaKey, Any], every: tuple[str, ...]) -> dict[DeltaKey, Any]:
+    """``rows`` with each complete group folded into one :data:`ANY` entry.
+
+    A group is the rows of one (state, symbol) on the letters ``every``;
+    it is complete when they all hold one move object.  Its entry takes
+    the place of its first row.
+    """
+    stored: dict[DeltaKey, Any] = {}
+    for key, move in rows.items():
+        q, a, z = key
+        if a != LEFT_MARK and a != ANY:
+            group = (q, ANY, z)
+            if group in stored:
+                continue
+            for b in every:
+                if rows.get((q, b, z)) is not move:
+                    break
+            else:
+                stored[group] = move
+                continue
+        stored[key] = move
+    return stored
+
+
 def render_machine_text(m: Machine) -> str:
-    """Deterministic text form, reloadable by :func:`parse_machine_text`."""
+    """Deterministic text form, reloadable by :func:`parse_machine_text`.
+
+    One row per (state, letter, symbol): each stored :data:`ANY` entry is
+    written on every input letter and ``>``.  Rows are sorted by state and
+    letter, in the machine's orders, then by symbol in the order that the
+    reader rebuilds: the bottom, then each symbol by the first row that
+    has it on top, ties in the machine's order.  So a text read back is
+    written again unchanged.
+    """
     lines = render_header(MACHINE_HEADER, {
         "@twoway": "yes" if m.two_way else "no", "@states": m.states,
         "@initial": m.initial_state, "@final": m.finals, "@bottom": m.bottom,
         "@alphabet": m.input_alphabet, "@meta": m.meta,
     })
-    state_pos = {q: i for i, q in enumerate(m.states)}
-    letter_pos = {a: i for i, a in enumerate(m.letters)}
-    sym_pos = {z: i for i, z in enumerate(m.stack_alphabet)}
-    declared = {m.bottom} | {z for (_, _, z) in m.delta}
+    stored = m.delta.stored
+    # Each row's sort key is one int: state, then letter, then symbol.
+    span = len(m.stack_alphabet)
+    letter_pos = {a: i * span for i, a in enumerate(m.letters)}
+    state_pos = {q: i * span * len(letter_pos) for i, q in enumerate(m.states)}
+    letter_pos[ANY] = letter_pos[m.delta.every[0]]  # an ANY entry's first row
+    first = dict.fromkeys(m.stack_alphabet, len(state_pos) * span * len(letter_pos))
+    first[m.bottom] = -1  # symbol -> where it is first on top
+    for q, a, z in stored:
+        first[z] = min(first[z], state_pos[q] + letter_pos[a])
+    sym_pos = {z: i for i, z in enumerate(sorted(m.stack_alphabet, key=first.__getitem__))}
     letter_toks = {a: a if a in (LEFT_MARK, RIGHT_MARK) else f'"{a}"' for a in m.letters}
-    delta = m.delta
-    for key in sorted(delta, key=lambda k: (state_pos[k[0]], letter_pos[k[1]], sym_pos[k[2]])):
-        q, a, z = key
-        target, push, direction = delta[key]
-        push_tok = render_push(push, declared)
-        lines.append(f"{q} {letter_toks[a]} {z} -> {target} {push_tok} {direction}")
+    every = [(letter_pos[a], letter_toks[a]) for a in m.delta.every]
+    declared = {m.bottom, *map(itemgetter(2), stored)}
+    text_of: dict[int, str] = {}
+    for (q, a, z), (target, push, direction) in stored.items():
+        tail = f" {z} -> {target} {render_push(push, declared)} {direction}"
+        pos = state_pos[q] + sym_pos[z]
+        if a == ANY:
+            for at, tok in every:
+                text_of[pos + at] = f"{q} {tok}{tail}"
+        else:
+            text_of[pos + letter_pos[a]] = f"{q} {letter_toks[a]}{tail}"
+    lines += map(text_of.__getitem__, sorted(text_of))
     return "\n".join(lines) + "\n"

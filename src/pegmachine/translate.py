@@ -40,6 +40,7 @@ from .peg.ast import (
 from .peg.interpret import accepts
 from .peg.wellformed import require_well_formed
 from .pppda.machine import (
+    ANY,
     DOWN,
     HAT_DOWN,
     HAT_RIGHT,
@@ -131,8 +132,8 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
             mb.emit_any(q, _nt_sym(name), Move(q, (), DOWN))
     emit(_signed(g.axiom, "+"), RIGHT_MARK, _BOTTOM, Move(_FINAL, (), DOWN))
 
-    # (state, letter or None for every letter, top symbol, move) of every rule.
-    rows: list[tuple[str, str | None, str, Move]] = []
+    # (state, letter or ANY for every letter, top symbol, move) of every rule.
+    rows: list[tuple[str, str, str, Move]] = []
     for name in g.nonterminals:
         body = g.rules[name]
         a_sym = _nt_sym(name)
@@ -142,37 +143,37 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
             f1, f2 = mb.stack_alphabet.add(_frame(name, 1)), mb.stack_alphabet.add(_frame(name, 2))
             q2, q2m = mb.states.add(_aux(name, "2")), mb.states.add(_aux(name, "2-"))
             rows += [
-                (_WORK, None, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
-                (_signed(b, "+"), None, f1, Move(_WORK, (_nt_sym(c), f2), DOWN)),
-                (_signed(b, "-"), None, f1, Move(fail, (), UP)),
-                (_signed(c, "+"), None, f2, Move(q2, (), DOWN)),
-                (q2, None, f1, Move(ok, (), DOWN)),
-                (_signed(c, "-"), None, f2, Move(q2m, (), UP)),
-                (q2m, None, f1, Move(fail, (), UP)),
+                (_WORK, ANY, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
+                (_signed(b, "+"), ANY, f1, Move(_WORK, (_nt_sym(c), f2), DOWN)),
+                (_signed(b, "-"), ANY, f1, Move(fail, (), UP)),
+                (_signed(c, "+"), ANY, f2, Move(q2, (), DOWN)),
+                (q2, ANY, f1, Move(ok, (), DOWN)),
+                (_signed(c, "-"), ANY, f2, Move(q2m, (), UP)),
+                (q2m, ANY, f1, Move(fail, (), UP)),
             ]
         elif isinstance(body, Choice):
             b, c = body.first.name, body.second.name
             f1, f2 = mb.stack_alphabet.add(_frame(name, 1)), mb.stack_alphabet.add(_frame(name, 2))
             q2 = mb.states.add(_aux(name, "2"))
             rows += [
-                (_WORK, None, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
-                (_signed(b, "+"), None, f1, Move(ok, (), DOWN)),
-                (_signed(b, "-"), None, f1, Move(q2, (), UP)),
+                (_WORK, ANY, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
+                (_signed(b, "+"), ANY, f1, Move(ok, (), DOWN)),
+                (_signed(b, "-"), ANY, f1, Move(q2, (), UP)),
                 # After the up pop the rule's own nonterminal is on top again.
-                (q2, None, a_sym, Move(_WORK, (_nt_sym(c), f2), DOWN)),
-                (_signed(c, "+"), None, f2, Move(ok, (), DOWN)),
-                (_signed(c, "-"), None, f2, Move(fail, (), UP)),
+                (q2, ANY, a_sym, Move(_WORK, (_nt_sym(c), f2), DOWN)),
+                (_signed(c, "+"), ANY, f2, Move(ok, (), DOWN)),
+                (_signed(c, "-"), ANY, f2, Move(fail, (), UP)),
             ]
         elif isinstance(body, Not):
             b = body.inner.name
             f1 = mb.stack_alphabet.add(_frame(name, 1))
             rows += [
-                (_WORK, None, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
-                (_signed(b, "+"), None, f1, Move(fail, (), UP)),
-                (_signed(b, "-"), None, f1, Move(ok, (), UP)),
+                (_WORK, ANY, a_sym, Move(_WORK, (_nt_sym(b), f1), DOWN)),
+                (_signed(b, "+"), ANY, f1, Move(fail, (), UP)),
+                (_signed(b, "-"), ANY, f1, Move(ok, (), UP)),
             ]
         elif isinstance(body, Empty):
-            rows.append((_WORK, None, a_sym, Move(ok, (), HAT_DOWN)))
+            rows.append((_WORK, ANY, a_sym, Move(ok, (), HAT_DOWN)))
         elif isinstance(body, Terminal):
             rows.append((_WORK, body.symbol, a_sym, Move(ok, (), HAT_RIGHT)))
             mismatch = Move(fail, (), HAT_DOWN)
@@ -183,11 +184,8 @@ def peg_to_dppda(g: CnfGrammar | Grammar) -> Machine:
         else:  # pragma: no cover - shape checked above
             raise NotCnfError(f"unexpected body {body!r}")
 
-    for q, a, z, move in rows:
-        if a is None:
-            mb.emit_any(q, z, move)
-        else:
-            emit(q, a, z, move)
+    for row in rows:
+        emit(*row)
     return mb.build()
 
 
@@ -230,7 +228,7 @@ def dppda_to_peg(m: Machine) -> Grammar:
 
     sigma = list(m.input_alphabet)
     letters = sigma + [RIGHT_MARK]
-    delta = m.delta
+    delta = m.delta.stored
     # Pop targets per stack symbol: the only states an episode over that
     # symbol can ever report to.
     pop_targets: dict[str, list[str]] = {z: [] for z in m.stack_alphabet}
@@ -263,11 +261,13 @@ def dppda_to_peg(m: Machine) -> Grammar:
         """Per-letter alternatives for one nonterminal, merged where letters
         sharing a move cover the whole alphabet (guards then partition the
         positions, so the guard layer is an identity and is elided)."""
-        groups: dict[Move, list[str]] = {}
-        for a in letters:
-            mv = delta.get((q, a, z))
-            if mv is not None:
-                groups.setdefault(mv, []).append(a)
+        mv = delta.get((q, ANY, z))
+        groups: dict[Move, list[str]] = {} if mv is None else {mv: letters}
+        if mv is None:
+            for a in letters:
+                mv = delta.get((q, a, z))
+                if mv is not None:
+                    groups.setdefault(mv, []).append(a)
         alts: Alternatives = []
         for mv, group in groups.items():
             full = len(group) == len(letters)

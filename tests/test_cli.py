@@ -382,8 +382,10 @@ def test_bench_assert_linear_passes_linear_or_better_cost(builtin, tmp_path, cap
 
 
 def test_bench_assert_linear_fails_superlinear_cost(tmp_path, monkeypatch, capsys):
-    real = cli.run_linear
-    monkeypatch.setattr(cli, "run_linear", lambda m, w: real(m, w)._replace(ops=len(w) ** 2))
+    import pegmachine.engines as engines
+
+    real = engines.run_linear
+    monkeypatch.setattr(engines, "run_linear", lambda m, w: real(m, w)._replace(ops=len(w) ** 2))
     mach = tmp_path / "anbncn.mach"
     mach.write_text(ANBNCN_SOURCE)
     argv = ["bench", str(mach), "--family", "a", "--sizes", "5,10", "--assert-linear"]

@@ -38,6 +38,7 @@ from pegmachine.pppda import (
     builtin_loop,
     builtin_sweep,
     normalize,
+    parse_machine_text,
     render_machine_text,
 )
 from pegmachine.translate import dppda_to_peg, grammar_to_machine
@@ -57,7 +58,7 @@ GRAMMAR_DIGESTS = {
         "2ca93a1157ad8fde69bc52fd16ef6b249588e0ac6d45b933ff81b74ea9ca9805"
     ),
     ("fig2", "normalize"): (
-        "c82615ec9e33d70affde103f2f94be1817fd0385a9fa52bfa0411e7427f22b7c"
+        "548c1b2e3722820cce91d21ce9cf31400deb96aaef09eaafe7946a524e576153"
     ),
     ("fig2", "extract"): (
         "244eb3e299f40a661bea92f2634ab1a44bc8e1580ff9e40c96b3f4be206e4a7c"
@@ -72,7 +73,7 @@ GRAMMAR_DIGESTS = {
         "64dc9d3cd5c0bb9ef937a63f1a26a8e5e8b8cb26ec208ff1b09aba9d0d5cfcfb"
     ),
     ("sec13_union", "normalize"): (
-        "70e86e115e90e61676c6b99f4d7b07bb0f6bfc09d3cfed725c7ef98c7bcf149e"
+        "d11050f29c998cfbbd1340cf867241a54d67ddd9ba87f0f171b3aa74c55abd80"
     ),
     ("sec13_union", "extract"): (
         "f894c72488ce5a0a358750a434b0f127c8b4fa0301fb5bb4c10a279ff7dfbbbc"
@@ -87,7 +88,7 @@ GRAMMAR_DIGESTS = {
         "b1ff1275e4e1d0318e02f546926d1c0c1303d6c717fc342a85b0a202d63b1c2c"
     ),
     ("sec13_abc", "normalize"): (
-        "17fe3a6cc7933b82736bc2a31eddacded5d573c760c9e782f998d6c7515b8566"
+        "cca92e256b8d7c01192239c5420812628ab7602216c528baaab7bb23978aa206"
     ),
     ("sec13_abc", "extract"): (
         "1faaed7e0292c0383de80e5d9317dfaeaa9ca69c6d1d38168d5994212fc7a345"
@@ -95,9 +96,9 @@ GRAMMAR_DIGESTS = {
 }
 
 BUILTIN_DIGESTS = {
-    "anbncn": "a11fcd4ce7b340d7251fba25d1e3b0799a4a7a01d7e01f54f6bcf7ed36ccbbea",
+    "anbncn": "ff52787d36ebdd09a9e61755962c3126b51b5b5cb4830a2bcf0cb3ea13ec8f6a",
     "loop": "99352b5fea9257f7b2be3b40ae656618fdedaf8f7d513a18954f849c54d7914a",  # builtin_loop is already normal
-    "sweep": "788952e039a4ba8e7474b166eb3c3f5b04cdbad0b981bba826d3933693922a1d",
+    "sweep": "f31c292782823a2bb4c2948e62a11e57ba8bc31440f07bddf21ff28823fd115b",
 }
 
 CORPUS_DIGEST = "73814b2773118a61999b06b6b009c36c2f9a1129602c109d0c535a32ae580b6c"
@@ -138,6 +139,23 @@ def test_builtin_normal_forms_are_pinned(name, tmp_path, capsys):
     mach = tmp_path / f"{name}.mach"
     mach.write_text(render_machine_text(BUILTINS[name]()))
     assert _digest(_output(capsys, "normalize", str(mach))) == BUILTIN_DIGESTS[name]
+
+
+def test_written_machine_texts_read_back_unchanged(tmp_path, capsys):
+    """Each machine text the CLI writes is written again unchanged once read."""
+    texts = {}
+    for name, text in GRAMMARS.items():
+        peg = tmp_path / f"{name}.peg"
+        peg.write_text(text)
+        texts[name, "compile"] = _output(capsys, "compile", str(peg))
+    for name, build in BUILTINS.items():
+        texts[name, "builtin"] = render_machine_text(build())
+    for (name, _), text in list(texts.items()):
+        mach = tmp_path / f"{name}.mach"
+        mach.write_text(text)
+        texts[name, "normalize"] = _output(capsys, "normalize", str(mach))
+    for key, text in texts.items():
+        assert render_machine_text(parse_machine_text(text)) == text, key
 
 
 def test_random_corpus_rewrites_are_pinned():

@@ -2,6 +2,7 @@ import pytest
 
 from pegmachine.errors import MachineInvariantError, MachineTextError
 from pegmachine.pppda import (
+    ANY,
     Configuration,
     DOWN,
     HAT_DIRECTIONS,
@@ -391,7 +392,9 @@ def test_builder_conflicting_emit_raises():
 def test_builder_emit_any_covers_every_letter_and_the_right_marker():
     mb = MachineBuilder("q", "Z", "ab", states=["q", "p"], stack_alphabet=["Z"])
     mb.emit_any("q", "Z", Move("p", (), DOWN))
-    assert mb.delta == {("q", a, "Z"): Move("p", (), DOWN) for a in ("a", "b", RIGHT_MARK)}
+    delta = mb.build().delta
+    assert delta == {("q", a, "Z"): Move("p", (), DOWN) for a in ("a", "b", RIGHT_MARK)}
+    assert delta.stored == {("q", ANY, "Z"): Move("p", (), DOWN)}
 
 
 def test_builder_identical_emit_any_is_a_no_op():
@@ -410,6 +413,16 @@ def test_builder_letter_emit_conflicting_with_emit_any_raises(letter):
     mb.emit("q", LEFT_MARK, "Z", Move("q", (), DOWN))  # not covered: no conflict
     with pytest.raises(MachineInvariantError, match="conflicting moves"):
         mb.emit("q", letter, "Z", Move("q", (), DOWN))
+
+
+def test_builder_emit_any_conflicts_name_the_first_row():
+    mb = _builder()
+    mb.emit("q", RIGHT_MARK, "Z", Move("p", (), DOWN))
+    with pytest.raises(MachineInvariantError, match=r"delta\('q', '>', 'Z'\)"):
+        mb.emit_any("q", "Z", Move("q", (), DOWN))
+    mb.emit_any("p", "Z", Move("p", (), DOWN))
+    with pytest.raises(MachineInvariantError, match=r"delta\('p', 'a', 'Z'\)"):
+        mb.emit_any("p", "Z", Move("q", (), DOWN))
 
 
 def test_builder_fresh_skips_taken_names():
@@ -440,3 +453,115 @@ def test_repeated_state_declaration_exits_invalid(tmp_path, capsys):
     path.write_text(ANBNCN_SOURCE.replace("@states q0 q1 qf", "@states q0 q1 q0 qf"))
     assert main(["check", str(path)]) == EXIT_INVALID
     assert "duplicate state name" in capsys.readouterr().err
+
+
+# --- the stored table: one entry per letter-independent move ------------------------
+
+_GROUP_HEAD = """\
+@twoway no
+@states q p f
+@initial q
+@final f
+@bottom Z
+@alphabet "ab"
+q < Z -> q X right
+"""
+
+
+def _any_entries(m: Machine) -> dict:
+    return {k: mv for k, mv in m.delta.stored.items() if k[1] == ANY}
+
+
+def test_reader_folds_a_complete_group_where_its_first_row_stands():
+    m = parse_machine_text(
+        _GROUP_HEAD + 'p "a" Z -> f - down\nq "a" X -> p - down\n'
+        'q "b" X -> p - down\np > Z -> f - down\nq > X -> p - down\n'
+    )
+    assert list(m.delta.stored) == [
+        ("q", LEFT_MARK, "Z"), ("p", "a", "Z"), ("q", ANY, "X"), ("p", RIGHT_MARK, "Z"),
+    ]
+    assert len(m.delta) == 6
+    assert m.delta[("q", "b", "X")] == Move("p", (), DOWN)
+    # An ANY entry covers the input letters and ">" only.
+    assert m.delta.get(("q", "c", "X")) is None and ("q", LEFT_MARK, "X") not in m.delta
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        'q "a" X -> p - down\nq > X -> p - down\n',  # no "b" row
+        'q "a" X -> p - down\nq "b" X -> p - down\nq > X -> f - down\n',  # ">" differs
+        # A letter that only a later row brings: the group lacks it.
+        'q "a" X -> p - down\nq "b" X -> p - down\nq > X -> p - down\np "c" Z -> f - down\n',
+    ],
+    ids=["missing-letter", "other-end-move", "late-letter"],
+)
+def test_reader_leaves_an_incomplete_group_as_rows(rows):
+    text = _GROUP_HEAD + rows
+    m = parse_machine_text(text)
+    assert _any_entries(m) == {}
+    assert len(m.delta) == len(m.delta.stored) == text.count("->")
+    assert render_machine_text(m) == render_machine_text(parse_machine_text(render_machine_text(m)))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (
+            'q "a" X -> p - down\nq "b" X -> p - down\nq > X -> p - down\nq "b" X -> p - down\n',
+            "line 11: duplicate transition for ('q', 'b', 'X')",
+        ),
+        (
+            'q "a" X -> p Y up\nq "b" X -> p Y up\nq > X -> p Y up\n',
+            "line 8: an up move must not push",
+        ),
+        (
+            'q "a" X -> p - right\nq "b" X -> p - right\nq > X -> p - right\np "a" Z -> f - down\n',
+            "line 10: cannot move right off the right end marker",
+        ),
+        # The first fault in the file is named, not the first in the folded table.
+        (
+            'q "a" X -> p - right\np "a" Z -> f Y,Y up\nq "b" X -> p - right\nq > X -> p - right\n',
+            "line 9: an up move must not push",
+        ),
+    ],
+    ids=["duplicate", "up-push", "right-off-the-end", "first-fault-in-file-order"],
+)
+def test_reader_names_a_fault_in_a_group_at_its_line(rows, message):
+    with pytest.raises(MachineTextError) as exc:
+        parse_machine_text(_GROUP_HEAD + rows)
+    assert str(exc.value) == message
+
+
+def test_reader_expands_hat_rows_in_row_order_and_folds_them():
+    m = parse_machine_text(
+        _GROUP_HEAD + 'q "a" X -> p - hatdown\np "a" Z -> f - hatright\n'
+        'q "b" X -> p - hatdown\nq > X -> p - hatdown\np "b" Z -> f - hatright\n'
+    )
+    assert m.states == ("q", "p", "f", "hats:p:hatdown", "hats:f:hatright")
+    assert m.stack_alphabet == ("Z", "X", "hat:p:hatdown", "hat:f:hatright")
+    assert m.delta.stored[("q", ANY, "X")] == Move("hats:p:hatdown", ("hat:p:hatdown",), DOWN)
+    assert m.delta[("hats:p:hatdown", LEFT_MARK, "hat:p:hatdown")] == Move("p", (), DOWN)
+
+
+STORED_SIZES = {  # name: ((rows, stored entries) compiled, (rows, stored entries) normalized)
+    "fig2": ((426, 120), (523, 142)),
+    "sec13_union": ((410, 116), (503, 137)),
+    "sec13_abc": ((506, 140), (619, 166)),
+}
+
+
+@pytest.mark.parametrize("name", list(STORED_SIZES))
+def test_stored_table_sizes_are_pinned(name, request):
+    """A move on every letter and ``>`` is one entry; the rows stay as before."""
+    from pegmachine.pppda import normalize
+
+    m = grammar_to_machine(request.getfixturevalue(name))
+    sizes = []
+    for machine in (m, normalize(m)):
+        again = parse_machine_text(render_machine_text(machine))
+        assert (len(again.delta), len(again.delta.stored)) == (
+            len(machine.delta), len(machine.delta.stored),
+        )
+        sizes.append((len(machine.delta), len(machine.delta.stored)))
+    assert tuple(sizes) == STORED_SIZES[name]

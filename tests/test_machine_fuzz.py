@@ -9,12 +9,14 @@ sweep machines make the run depend on the origins: every pushed symbol's
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from pegmachine.cooksim import run_linear, work_bound
 from pegmachine.errors import MachineInvariantError
 from pegmachine.pppda import (
+    ANY,
     DOWN,
     HAT_DOWN,
     HAT_RIGHT,
@@ -30,6 +32,8 @@ from pegmachine.pppda import (
     check_normal,
     initial_configuration,
     normalize,
+    parse_machine_text,
+    render_machine_text,
     run_direct,
     step,
 )
@@ -382,3 +386,67 @@ def test_machines_check_normal_accepts_extract_faithfully(seed):
                 assert run_linear(m, word).reason == "loop", word
                 continue
             assert got == direct_accepts(m, word), word
+
+
+# --- the stored table against its expansion ---------------------------------------
+
+
+def _stored_table_machines() -> dict:
+    """Factories of machines that store moves every way the toolkit makes them."""
+    from pegmachine.closures import left_concat_dcfl, reg_closure_machine
+    from pegmachine.fuzz import random_cnf_grammar
+    from pegmachine.peg import parse_grammar_text
+    from pegmachine.pppda import builtin_anbncn, builtin_loop, builtin_sweep
+    from pegmachine.translate import grammar_to_machine
+
+    from conftest import FIG2_TEXT, SEC13_ABC_TEXT, SEC13_UNION_TEXT
+    from test_closure_random import random_dpda, random_spec
+
+    cases = []
+    for make in (random_machine, random_two_way_machine, random_sweep_machine):
+        cases += [(f"{make.__name__}-{seed}", lambda make=make, seed=seed: make(random.Random(seed)))
+                  for seed in range(8)]
+    for name, text in (("fig2", FIG2_TEXT), ("union", SEC13_UNION_TEXT), ("abc", SEC13_ABC_TEXT)):
+        cases.append((name, lambda text=text: grammar_to_machine(parse_grammar_text(text))))
+    for name, build in (("anbncn", builtin_anbncn), ("loop", builtin_loop), ("sweep", builtin_sweep)):
+        cases.append((name, build))
+    for seed in range(4):
+        cases.append((f"reg-closure-{seed}", lambda seed=seed: reg_closure_machine(
+            random_spec(random.Random(seed)))))
+        cases.append((f"concat-{seed}", lambda seed=seed: left_concat_dcfl(
+            random_dpda(random.Random(1000 + seed)),
+            grammar_to_machine(random_cnf_grammar(random.Random(seed), 4, len(SIGMA))))))
+    return dict(cases)
+
+
+STORED_TABLE_MACHINES = _stored_table_machines()
+
+
+def _expanded(m: Machine) -> dict:
+    """δ row by row, written out from the stored entries."""
+    rows = {}
+    for (q, a, z), mv in m.delta.stored.items():
+        for b in (*m.input_alphabet, RIGHT_MARK) if a == ANY else (a,):
+            assert (q, b, z) not in rows, (q, b, z)
+            rows[q, b, z] = mv
+    return rows
+
+
+@pytest.mark.parametrize("name", list(STORED_TABLE_MACHINES))
+def test_stored_table_answers_as_its_expansion(name):
+    """Each machine, its normal form when one-way, and both read back from their text.
+
+    The text keeps every part but Γ's order, which the reader rebuilds from
+    the rows; a machine read back once reads back equal.
+    """
+    m = STORED_TABLE_MACHINES[name]()
+    built = [m] if m.two_way else [m, normalize(m)]
+    read = [parse_machine_text(render_machine_text(x)) for x in built]
+    for x, was_read in [(x, False) for x in built] + [(x, True) for x in read]:
+        assert dict(x.delta.items()) == _expanded(x)
+        text = render_machine_text(x)
+        assert len(x.delta) == sum(1 for line in text.splitlines() if not line.startswith("@"))
+        again = parse_machine_text(text)
+        assert again == (x if was_read else replace(x, stack_alphabet=again.stack_alphabet))
+        for word in all_words(x.input_alphabet[:2], 3):
+            assert run_direct(x, word, step_limit=400)[:3] == stepped_run(x, word, 400)[:3], word

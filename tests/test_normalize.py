@@ -2,6 +2,7 @@ import pytest
 
 from pegmachine.errors import MachineInvariantError, NotNormalError
 from pegmachine.pppda import (
+    ANY,
     DOWN,
     HAT_DIRECTIONS,
     HAT_DOWN,
@@ -210,7 +211,8 @@ def test_normalize_registers_fresh_names_in_stage_order(monkeypatch):
     emit = MachineBuilder.emit
 
     def counting_emit(self, q, a, z, move):
-        emitted.append((q, a, z))
+        # One key per row that the call emits: an ANY entry covers every letter and ">".
+        emitted.extend((q, b, z) for b in ((*self.input_alphabet, RIGHT_MARK) if a == ANY else (a,)))
         emit(self, q, a, z, move)
 
     monkeypatch.setattr(MachineBuilder, "emit", counting_emit)
